@@ -38,11 +38,11 @@ class Sem3D(SemND):
     through a canonical corner-id frame so any conforming hex mesh — not
     just structured grids — assembles correctly.
 
-    ``rho`` enables variable-density acoustics (per-element, scalars
-    broadcast): the operator becomes ``rho u_tt = div(rho c^2 grad u)``
-    with the wave speed still ``mesh.c`` — see
-    :class:`repro.sem.materials.IsotropicAcoustic`, which ``material=``
-    passes in full.
+    ``material=IsotropicAcoustic(c, rho)`` enables variable-density
+    acoustics (per-element, scalars broadcast): the operator becomes
+    ``rho u_tt = div(rho c^2 grad u)`` with the wave speed still ``c`` —
+    see :class:`repro.sem.materials.IsotropicAcoustic`.  The default is
+    ``mesh.c`` with unit density.
     """
 
     def __init__(
@@ -50,13 +50,10 @@ class Sem3D(SemND):
         mesh: Mesh,
         order: int = 4,
         dirichlet: bool = False,
-        rho=None,
         material=None,
     ):
         require(mesh.dim == 3, "Sem3D requires a 3D mesh", SolverError)
-        super().__init__(
-            mesh, order=order, dirichlet=dirichlet, rho=rho, material=material
-        )
+        super().__init__(mesh, order=order, dirichlet=dirichlet, material=material)
 
     @property
     def xyz(self) -> np.ndarray:

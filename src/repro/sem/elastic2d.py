@@ -1,11 +1,12 @@
 """2D P-SV elastic spectral elements (the paper's Eqs. (1)-(2)).
 
 All physics machinery — the component-interleaved DOF layout, the
-kron-form reference kernels (per-axis stiffness plus the shear coupling
-``C = (Dm^T w) (x) (w Dm)``), per-element Lamé scaling, P/S wave speeds
-— lives in the dimension-generic :class:`repro.sem.tensor.ElasticSemND`
-base; this class only pins ``dim == 2`` and keeps the 2D-flavoured
-conveniences (``xy``, ``nearest_dof(x0, y0, comp)``).
+stress-form element stiffness (shared with the anisotropic assembler,
+fed the isotropic stiffness tensor), per-element Lamé parameters, P/S
+wave speeds — lives in the dimension-generic
+:class:`repro.sem.tensor.ElasticSemND` base; this class only pins
+``dim == 2`` and keeps the 2D-flavoured conveniences (``xy``,
+``nearest_dof(x0, y0, comp)``).
 
 On axis-aligned rectangles the element blocks reduce to the classic
 four-kernel form::
@@ -14,9 +15,9 @@ four-kernel form::
     Kyy = (l+2m)(hx/hy) K2 + m (hy/hx) K1      K2 = Wd (x) KxX
     Kxy = l C + m C^T,   Kyx = Kxy^T           C  = (Dm^T w) (x) (w Dm)
 
-(the 2D specialization of the generic per-axis-pair blocks — the shear
-coupling is geometry-free only in 2D).  The mass matrix stays diagonal
-(GLL collocation), so ``A = M^{-1} K`` plugs into every solver in
+(the 2D isotropic case of the stress-form blocks — the shear coupling
+is geometry-free only in 2D).  The mass matrix stays diagonal (GLL
+collocation), so ``A = M^{-1} K`` plugs into every solver in
 :mod:`repro.core` and the distributed runtime unchanged — including
 multi-level LTS, whose levels come from the per-element *P-wave* speed
 exactly as in Eq. (7).
@@ -39,13 +40,12 @@ class ElasticSem2D(ElasticSemND):
     ----------
     mesh:
         Axis-aligned rectangular quad mesh; ``mesh.c`` is *ignored* for
-        material properties (use ``lam``/``mu``/``rho``) — see
+        material properties (use ``material=``) — see
         :meth:`ElasticSemND.p_velocity` for LTS level assignment.
-    lam, mu, rho:
-        Per-element Lamé parameters and density (scalars broadcast) —
-        thin wrappers over ``material=``, a full
-        :class:`repro.sem.materials.IsotropicElastic` (mutually
-        exclusive with the kwargs).
+    material:
+        :class:`repro.sem.materials.IsotropicElastic` — per-element Lamé
+        parameters and density (scalars broadcast; the default is
+        ``lam = mu = rho = 1``).
 
     DOF layout: component-interleaved, ``2*node + comp`` with comp 0 = x,
     1 = y; scalar node numbering (and therefore halo construction and
@@ -56,17 +56,11 @@ class ElasticSem2D(ElasticSemND):
         self,
         mesh: Mesh,
         order: int = 4,
-        lam=None,
-        mu=None,
-        rho=None,
         dirichlet: bool = False,
         material=None,
     ):
         require(mesh.dim == 2, "ElasticSem2D requires a 2D mesh", SolverError)
-        super().__init__(
-            mesh, order=order, lam=lam, mu=mu, rho=rho,
-            dirichlet=dirichlet, material=material,
-        )
+        super().__init__(mesh, order=order, dirichlet=dirichlet, material=material)
 
     @property
     def xy(self) -> np.ndarray:

@@ -8,9 +8,9 @@ the element workspace lives in registers/L1; this module provides that
 tier: a small C source compiled on demand with the system compiler and
 loaded through :mod:`ctypes` (stdlib only — no new dependencies).
 Kernels: 2D acoustic (``ac_apply``), 3D hexahedral acoustic
-(``ac_apply3``), 2D elastic (``el_apply``), 3D hexahedral elastic
-(``el_apply3``), 2D/3D anisotropic stress form (``an_apply`` /
-``an_apply3``); the 3D kernels cover orders <= ``MAX_ORDER_3D``.
+(``ac_apply3``), and the 2D/3D elastic stress form (``an_apply`` /
+``an_apply3``), which serves isotropic and anisotropic ``C`` alike; the
+3D kernels cover orders <= ``MAX_ORDER_3D``.
 
 The kernels are strictly optional.  If no C compiler is available, the
 compile fails, ``REPRO_FUSED=0`` is set, or the polynomial order exceeds
@@ -60,6 +60,9 @@ import tempfile
 import threading
 
 import numpy as np
+
+from repro.util.errors import SolverError
+from repro.util.validation import require
 
 #: SIMD block width (elements per vector lane group).
 VL = 8
@@ -126,20 +129,6 @@ static inline void mul_right_add(const double *restrict A, const v8 *restrict U,
             v8 acc = {0};
             for (int b = 0; b < n1; ++b) acc += aj[b] * ui[b];
             O[i * n1 + j] += acc;
-        }
-    }
-}
-
-/* O[i][j] += coef * sum_a A[i*n1+a] * U[a*n1+j] */
-static inline void mul_left_acc(const double *restrict A, const v8 *restrict U,
-                                v8 *restrict O, v8 coef, int n1)
-{
-    for (int i = 0; i < n1; ++i) {
-        const double *ai = A + i * n1;
-        for (int j = 0; j < n1; ++j) {
-            v8 acc = {0};
-            for (int a = 0; a < n1; ++a) acc += ai[a] * U[a * n1 + j];
-            O[i * n1 + j] += coef * acc;
         }
     }
 }
@@ -343,177 +332,6 @@ void ac_apply3(long ne, long n_dof, int n1,
 }
 
 /*
- * Elastic P-SV block, component-interleaved ed of width 2*nl:
- *   fx = cp hy/hx K1 Ux + mu hx/hy K2 Ux + lam C Uy + mu C^T Uy
- *   fy = mu hy/hx K1 Uy + cp hx/hy K2 Uy + mu C Ux + lam C^T Ux
- * with C U = E (U F^T), C^T U = E^T (U F); E/ET/F/FT passed explicitly.
- */
-static void el_block(long e0, int n1,
-                     const double *restrict KxX, const double *restrict w,
-                     const double *restrict E, const double *restrict ET,
-                     const double *restrict F, const double *restrict FT,
-                     const double *restrict lam, const double *restrict mu,
-                     const double *restrict hx, const double *restrict hy,
-                     const int64_t *restrict ed, const double *restrict u,
-                     const double *restrict gmask, double *restrict z)
-{
-    int nl = n1 * n1;
-    v8 Ux[MAXNL], Uy[MAXNL], T1[MAXNL], T2[MAXNL], S[MAXNL], Fo[MAXNL];
-    for (int l = 0; l < VL; ++l) {
-        const int64_t *d = ed + (e0 + l) * 2 * nl;
-        const double *gm = gmask ? gmask + (e0 + l) * 2 * nl : 0;
-        gather(d, 2, nl, u, gm, Ux, l);
-        gather(d + 1, 2, nl, u, gm ? gm + 1 : 0, Uy, l);
-    }
-    v8 LAM, MU, C1, C2, C3, C4;
-    for (int l = 0; l < VL; ++l) {
-        double le = lam[e0 + l], me = mu[e0 + l];
-        double rx = hy[e0 + l], ry = hx[e0 + l];
-        double gx = (ry != 0.0) ? rx / ry : 0.0;  /* hy/hx; ghosts have h=0 */
-        double gy = (rx != 0.0) ? ry / rx : 0.0;
-        LAM[l] = le; MU[l] = me;
-        C1[l] = (le + 2 * me) * gx;  /* K1 coeff in fx */
-        C2[l] = me * gy;             /* K2 coeff in fx */
-        C3[l] = me * gx;             /* K1 coeff in fy */
-        C4[l] = (le + 2 * me) * gy;  /* K2 coeff in fy */
-    }
-    for (int comp = 0; comp < 2; ++comp) {
-        const v8 *U = comp ? Uy : Ux;
-        const v8 *V = comp ? Ux : Uy;  /* shear partner */
-        v8 K1C = comp ? C3 : C1, K2C = comp ? C4 : C2;
-        v8 CL = comp ? MU : LAM;   /* coeff of C V   */
-        v8 CT = comp ? LAM : MU;   /* coeff of C^T V */
-        mul_left(KxX, U, T1, n1);
-        mul_right(KxX, U, T2, n1);
-        for (int i = 0; i < n1; ++i) {
-            v8 K2W = K2C * w[i];
-            for (int j = 0; j < n1; ++j)
-                Fo[i * n1 + j] = K1C * w[j] * T1[i * n1 + j] + K2W * T2[i * n1 + j];
-        }
-        mul_right(F, V, S, n1);       /* S = V F^T  */
-        mul_left_acc(E, S, Fo, CL, n1);
-        mul_right(FT, V, S, n1);      /* S = V F    */
-        mul_left_acc(ET, S, Fo, CT, n1);
-        for (int l = 0; l < VL; ++l) {
-            const int64_t *d = ed + (e0 + l) * 2 * nl + comp;
-            for (int k = 0; k < nl; ++k) z[d[2 * k]] += Fo[k][l];
-        }
-    }
-}
-
-void el_apply(long ne, long n_dof, int n1,
-              const double *restrict KxX, const double *restrict w,
-              const double *restrict E, const double *restrict ET,
-              const double *restrict F, const double *restrict FT,
-              const double *restrict lam, const double *restrict mu,
-              const double *restrict hx, const double *restrict hy,
-              const int64_t *restrict ed, const double *restrict u,
-              const double *restrict gmask, const double *restrict Minv,
-              double *restrict z, int n_threads, double *restrict zt)
-{
-#define EL_CALL(ZP) \
-    el_block(e0, n1, KxX, w, E, ET, F, FT, lam, mu, hx, hy, ed, u, gmask, ZP)
-    APPLY_DRIVER(EL_CALL);
-#undef EL_CALL
-}
-
-/*
- * 3D isotropic elastic block, component-interleaved ed of width 3*nl.
- * Blocks (c, d in {x, y, z}), with R_cd = E(at c) (x) F(at d) (x)
- * Wd(rest), E = D^T diag(w), F = diag(w) D = E^T:
- *   f_c = sum_a ds[c][a] * (KxX contraction of U_c along axis a, w-plane)
- *       + sum_{d != c} ( lamg[cd] [E@c, F@d] + mug[cd] [F@c, E@d] ) U_d
- * coef carries 15 doubles per element: ds[3][3] row-major, then lamg and
- * mug for the pairs (0,1), (0,2), (1,2) — all with the geometry factors
- * folded in.
- */
-static void el_block3(long e0, int n1,
-                      const double *restrict KxX, const double *restrict w,
-                      const double *restrict E, const double *restrict F,
-                      const double *restrict coef,
-                      const int64_t *restrict ed, const double *restrict u,
-                      const double *restrict gmask, double *restrict z)
-{
-    int n2 = n1 * n1, nl = n2 * n1;
-    static _Thread_local v8 U[3][MAXNL3], Fo[MAXNL3], S[MAXNL3], T[MAXNL3];
-    const int str[3] = {n2, n1, 1};
-    for (int l = 0; l < VL; ++l) {
-        const int64_t *d = ed + (e0 + l) * 3 * nl;
-        const double *gm = gmask ? gmask + (e0 + l) * 3 * nl : 0;
-        for (int c = 0; c < 3; ++c)
-            gather(d + c, 3, nl, u, gm ? gm + c : 0, U[c], l);
-    }
-    v8 CF[15];
-    for (int m = 0; m < 15; ++m)
-        for (int l = 0; l < VL; ++l) CF[m][l] = coef[(e0 + l) * 15 + m];
-    for (int c = 0; c < 3; ++c) {
-        v8 DX = CF[3 * c], DY = CF[3 * c + 1], DZ = CF[3 * c + 2];
-        /* diagonal block: the ac_apply3 contraction, per-comp coefs */
-        for (int i = 0; i < n1; ++i) {
-            const double *ki = KxX + i * n1;
-            for (int j = 0; j < n1; ++j) {
-                const double *kj = KxX + j * n1;
-                const v8 *uij = U[c] + (i * n1 + j) * n1;
-                for (int k = 0; k < n1; ++k) {
-                    const double *kk = KxX + k * n1;
-                    v8 a1 = {0}, a2 = {0}, a3 = {0};
-                    for (int a = 0; a < n1; ++a) {
-                        a1 += ki[a] * U[c][(a * n1 + j) * n1 + k];
-                        a2 += kj[a] * U[c][(i * n1 + a) * n1 + k];
-                        a3 += kk[a] * uij[a];
-                    }
-                    Fo[(i * n1 + j) * n1 + k] =
-                        DX * (w[j] * w[k]) * a1 + DY * (w[i] * w[k]) * a2
-                        + DZ * (w[i] * w[j]) * a3;
-                }
-            }
-        }
-        /* off-diagonal blocks feeding component c */
-        for (int d = 0; d < 3; ++d) {
-            if (d == c) continue;
-            int lo = c < d ? c : d, hi = c < d ? d : c;
-            int p = lo + hi - 1;   /* (0,1)->0, (0,2)->1, (1,2)->2 */
-            int e = 3 - c - d;     /* the axis carrying a bare w    */
-            v8 LG = CF[9 + p], MG = CF[12 + p];
-            for (int term = 0; term < 2; ++term) {
-                /* lam [E@c, F@d] U_d, then mu [F@c, E@d] U_d */
-                const double *Ad = term ? E : F;
-                const double *Ac = term ? F : E;
-                v8 CO = term ? MG : LG;
-                axis3_mul(Ad, U[d], S, n1,
-                          str[d], str[(d + 1) % 3], str[(d + 2) % 3]);
-                axis3_mul(Ac, S, T, n1,
-                          str[c], str[(c + 1) % 3], str[(c + 2) % 3]);
-                for (int i = 0; i < n1; ++i)
-                    for (int j = 0; j < n1; ++j)
-                        for (int k = 0; k < n1; ++k) {
-                            int idx3[3] = {i, j, k};
-                            int f = (i * n1 + j) * n1 + k;
-                            Fo[f] += CO * w[idx3[e]] * T[f];
-                        }
-            }
-        }
-        for (int l = 0; l < VL; ++l) {
-            const int64_t *dc = ed + (e0 + l) * 3 * nl + c;
-            for (int k = 0; k < nl; ++k) z[dc[3 * k]] += Fo[k][l];
-        }
-    }
-}
-
-void el_apply3(long ne, long n_dof, int n1,
-               const double *restrict KxX, const double *restrict w,
-               const double *restrict E, const double *restrict F,
-               const double *restrict coef,
-               const int64_t *restrict ed, const double *restrict u,
-               const double *restrict gmask, const double *restrict Minv,
-               double *restrict z, int n_threads, double *restrict zt)
-{
-#define EL3_CALL(ZP) el_block3(e0, n1, KxX, w, E, F, coef, ed, u, gmask, ZP)
-    APPLY_DRIVER(EL3_CALL);
-#undef EL3_CALL
-}
-
-/*
  * 2D anisotropic stress-form block, component-interleaved ed of width
  * 2*nl.  Mirrors repro.sem.matfree.AnisotropicKernelND: with G_b the 1D
  * derivative along axis b and W the tensor quadrature weights,
@@ -653,8 +471,7 @@ _BASE_CFLAGS = ("-O3", "-funroll-loops", "-shared", "-fPIC")
 _ARCH_FLAGS = ("-march=native", "-mcpu=native")
 _OMP_FLAG = "-fopenmp"
 
-_KERNELS = ("ac_apply", "ac_apply3", "el_apply", "el_apply3",
-            "an_apply", "an_apply3")
+_KERNELS = ("ac_apply", "ac_apply3", "an_apply", "an_apply3")
 
 _lib: ctypes.CDLL | None = None
 _tried = False
@@ -839,31 +656,73 @@ def _pad(a: np.ndarray, ne_pad: int, fill=0.0) -> np.ndarray:
 class _FusedPlan:
     """Base bound fused apply: ``u -> [Minv *] K u`` (+ gmask).
 
-    Subclasses name their C symbol and bind the kernel-specific
-    coefficient arrays; padding, masks, the GLL weights, and the
-    threading decision live here.  ``threads > 1`` is honored only when
-    the build has OpenMP and the padded element count gives every
-    thread at least one ``VL`` block — otherwise the plan silently runs
-    serial (``self.threads == 1``), which callers surface as the
-    resolved tier.
+    Subclasses name their C symbol, dimension and order cap, and bind
+    the kernel-specific coefficient arrays; padding, masks, the GLL
+    weights, the threading decision and every check on what crosses
+    into C live here.  The plan refuses (with
+    :class:`~repro.util.errors.SolverError`) anything the C loop would
+    read out of bounds: a kernel of the wrong dimension or above the
+    order cap, an ``element_dofs`` that is not an integer
+    ``(n_elements, n_comp * n1^dim)`` array with every index in
+    ``[0, n_dof)``, a ``gmask``/``Minv`` of the wrong shape, or a ``u``
+    of the wrong length.  ``threads > 1`` is honored only when the
+    build has OpenMP and the padded element count gives every thread
+    at least one ``VL`` block — otherwise the plan silently runs serial
+    (``self.threads == 1``), which callers surface as the resolved tier.
     """
 
     _symbol = ""
+    dim = 2
+    max_order = MAX_ORDER
 
     def __init__(self, kernel, element_dofs, n_dof, gmask=None, Minv=None,
                  threads: int = 1):
         lib = load()
-        assert lib is not None
+        if lib is None:
+            raise SolverError("fused kernels unavailable")
         self._fn = getattr(lib, self._symbol)
         self.n_dof = int(n_dof)
         self.n1 = kernel.n1
-        ne = element_dofs.shape[0]
+        require(
+            kernel.dim == self.dim and kernel.order <= self.max_order,
+            f"{type(self).__name__} needs a {self.dim}D kernel of order "
+            f"<= {self.max_order}",
+            SolverError,
+        )
+        ed = np.asarray(element_dofs)
+        width = getattr(kernel, "n_comp", 1) * self.n1**self.dim
+        require(
+            np.issubdtype(ed.dtype, np.integer) and ed.ndim == 2
+            and ed.shape[1] == width,
+            f"element_dofs must be an integer (n_elements, {width}) array",
+            SolverError,
+        )
+        ed = np.ascontiguousarray(ed, dtype=np.int64)
+        # One pass: as unsigned, a negative index is larger than any n_dof.
+        require(
+            ed.size == 0 or ed.view(np.uint64).max() < self.n_dof,
+            f"element_dofs index out of range [0, {self.n_dof})",
+            SolverError,
+        )
+        require(
+            gmask is None or np.shape(gmask) == ed.shape,
+            f"gmask must have the element_dofs shape {ed.shape}",
+            SolverError,
+        )
+        require(
+            Minv is None or np.shape(Minv) == (self.n_dof,),
+            f"Minv must have shape ({self.n_dof},)",
+            SolverError,
+        )
+        ne = ed.shape[0]
         ne_pad = -(-ne // VL) * VL
-        self._ed = _pad(np.ascontiguousarray(element_dofs, dtype=np.int64), ne_pad)
+        self._ed = _pad(ed, ne_pad)
         self._gmask = None if gmask is None else _pad(
             np.ascontiguousarray(gmask, dtype=np.float64), ne_pad, fill=0.0
         )
-        self._Minv = None if Minv is None else np.ascontiguousarray(Minv)
+        self._Minv = None if Minv is None else np.ascontiguousarray(
+            Minv, dtype=np.float64
+        )
         self._ne = ne_pad
         _, w = _gll(kernel.order)
         self._w = w
@@ -883,6 +742,9 @@ class _FusedPlan:
         raise NotImplementedError
 
     def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        if u.shape != (self.n_dof,):
+            raise SolverError(f"u has shape {u.shape}, expected ({self.n_dof},)")
         # The C kernel writes z directly; a caller-supplied contiguous
         # float64 buffer is used as-is (allocation-free hot path), and
         # the persistent per-thread partials _zt are reused every call.
@@ -895,7 +757,6 @@ class _FusedPlan:
             z = out
         else:
             z = np.empty(self.n_dof)
-        u = np.ascontiguousarray(u, dtype=np.float64)
         self._fn(
             ctypes.c_long(self._ne),
             ctypes.c_long(self.n_dof),
@@ -929,6 +790,8 @@ class Acoustic3DPlan(_FusedPlan):
     """Bound fused 3D acoustic apply."""
 
     _symbol = "ac_apply3"
+    dim = 3
+    max_order = MAX_ORDER_3D
 
     def _bind(self, kernel, ne_pad):
         # Per-axis scales; ghost elements get zero coefficients.
@@ -942,57 +805,9 @@ class Acoustic3DPlan(_FusedPlan):
                 _pd(self._ax), _pd(self._ay), _pd(self._az))
 
 
-class ElasticPlan(_FusedPlan):
-    """Bound fused 2D elastic apply (component-interleaved DOFs)."""
-
-    _symbol = "el_apply"
-
-    def _bind(self, kernel, ne_pad):
-        self._lam = _pad(kernel.lam, ne_pad)  # ghosts: lam = mu = 0
-        self._mu = _pad(kernel.mu, ne_pad)
-        self._hx = _pad(kernel.hx, ne_pad)
-        self._hy = _pad(kernel.hy, ne_pad)
-        self._KxX = np.ascontiguousarray(kernel.KxX)
-        self._E = np.ascontiguousarray(kernel.E)
-        self._ET = np.ascontiguousarray(kernel.E.T)
-        self._F = np.ascontiguousarray(kernel.F)
-        self._FT = np.ascontiguousarray(kernel.F.T)
-
-    def _coef_args(self):
-        return (_pd(self._KxX), _pd(self._w),
-                _pd(self._E), _pd(self._ET), _pd(self._F), _pd(self._FT),
-                _pd(self._lam), _pd(self._mu), _pd(self._hx), _pd(self._hy))
-
-
-class Elastic3DPlan(_FusedPlan):
-    """Bound fused 3D elastic apply (component-interleaved DOFs).
-
-    Packs the per-element block coefficients of
-    :class:`repro.sem.matfree.ElasticKernel3D` — nine diagonal-block
-    axis scales plus ``lam``/``mu`` pair coefficients with the geometry
-    factors folded in — into one 15-wide array for ``el_apply3``.
-    """
-
-    _symbol = "el_apply3"
-
-    def _bind(self, kernel, ne_pad):
-        ne = kernel.diag_scales.shape[0]
-        coef = np.empty((ne, 15))
-        coef[:, :9] = kernel.diag_scales.reshape(ne, 9)
-        coef[:, 9:12] = kernel.lam_g
-        coef[:, 12:15] = kernel.mu_g
-        self._coef = _pad(coef, ne_pad)  # ghost elements: zero coefficients
-        self._KxX = np.ascontiguousarray(kernel.KxX)
-        self._E = np.ascontiguousarray(kernel.E)
-        self._F = np.ascontiguousarray(kernel.F)
-
-    def _coef_args(self):
-        return (_pd(self._KxX), _pd(self._w), _pd(self._E), _pd(self._F),
-                _pd(self._coef))
-
-
 class AnisotropicPlan(_FusedPlan):
-    """Bound fused 2D anisotropic stress-form apply.
+    """Bound fused 2D elastic stress-form apply (isotropic or anisotropic
+    ``C``).
 
     Flattens :class:`repro.sem.matfree.AnisotropicKernelND`'s
     ``coef[e, c, a, d, b]`` (material tensor times pair geometry
@@ -1014,9 +829,12 @@ class AnisotropicPlan(_FusedPlan):
 
 
 class Anisotropic3DPlan(AnisotropicPlan):
-    """Bound fused 3D anisotropic stress-form apply."""
+    """Bound fused 3D elastic stress-form apply (isotropic or anisotropic
+    ``C``)."""
 
     _symbol = "an_apply3"
+    dim = 3
+    max_order = MAX_ORDER_3D
 
 
 def _gll(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ global sparse matrix.  All elements are processed at once as batched
 tensor contractions (``tensordot`` → one BLAS GEMM per contraction), so
 the Python overhead is O(1) per apply instead of O(n_elem).
 
-Three physics families share the machinery, each generic over dimension:
+Two kernel families share the machinery, each generic over dimension:
 
 * acoustic (:class:`AcousticKernelND`) — ``K_e u`` is one 1D GLL
   stiffness contraction per axis, each scaled by a per-element weight
@@ -16,20 +16,15 @@ Three physics families share the machinery, each generic over dimension:
   :class:`AcousticKernel3D` pin the dimension.  In 3D this is the
   paper's asymptotic win: O(n^4) contraction work per element versus the
   O(n^6) of a dense element matvec;
-* isotropic elastic (:class:`ElasticKernelND`) — the per-axis-pair block
-  structure of :class:`repro.sem.tensor.ElasticSemND` (diagonal blocks
-  are acoustic-style per-axis contractions with material coefficients;
-  each off-diagonal block ``g_cd (lam R_cd + mu R_cd^T)`` is a two-stage
-  1D contraction), applied per displacement component on the interleaved
-  DOF layout.  :class:`ElasticKernel` (2D P-SV, fused-C capable) and
-  :class:`ElasticKernel3D` (nine blocks, copy-free batched matmul, fused
-  ``el_apply3`` tier) pin the dimension;
-* general anisotropic elastic (:class:`AnisotropicKernelND`) — the
-  stress-form pipeline (gradient contractions, per-element Hooke
-  combine with the rank-4 ``C``, divergence contractions) for an
-  arbitrary per-element Voigt stiffness
-  (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`); NumPy tier
-  only — the fused dispatch falls back transparently.
+* elastic (:class:`AnisotropicKernelND`) — the stress-form pipeline
+  (gradient contractions, per-element Hooke combine with the rank-4
+  ``C``, divergence contractions) for an arbitrary per-element Voigt
+  stiffness, fused C tier ``an_apply``/``an_apply3``.  Isotropic elastic
+  (:class:`repro.sem.tensor.ElasticSemND`, the paper's Eqs. (1)-(2))
+  runs through it with ``C`` built from ``lam`` and ``mu``
+  (:func:`repro.sem.materials.isotropic_stiffness`); general anisotropy
+  (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`) passes its
+  own ``C``.
 
 Which kernel applies is decided by the assembler's *explicit* physics
 declaration — :meth:`repro.sem.tensor.SemND.kernel_spec` returning a
@@ -66,6 +61,7 @@ from repro.core.operator import KernelSpec, Restriction
 from repro.core.workspace import Workspace, resolve_pooled
 from repro.sem import fused
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
+from repro.sem.materials import VOIGT_SIZE, isotropic_stiffness, voigt_to_tensor
 from repro.util.errors import SolverError
 from repro.util.validation import require
 
@@ -116,29 +112,27 @@ def _fused_plan(kernel, element_dofs, n_dof, gmask=None, Minv=None, enabled=None
     """Fused-kernel apply plan, or ``None`` to use the NumPy path.
 
     ``enabled=None`` auto-detects (compiler present, order and dimension
-    supported — acoustic, elastic, and anisotropic kernels all have
-    fused tiers in 2D and 3D; anything else falls back to NumPy);
+    supported — the acoustic and stress-form elastic kernels have fused
+    tiers in 2D and 3D; anything else falls back to NumPy);
     ``False`` forces the NumPy path; ``True`` raises if unavailable.
     ``threads > 1`` requests the OpenMP element-block loop (honored only
     when the build has OpenMP — see :func:`repro.sem.fused.omp_enabled`).
     """
     if enabled is False:
         return None
-    if isinstance(kernel, ElasticKernel):
-        plan_cls, max_order = fused.ElasticPlan, fused.MAX_ORDER
-    elif isinstance(kernel, ElasticKernel3D):
-        plan_cls, max_order = fused.Elastic3DPlan, fused.MAX_ORDER_3D
-    elif isinstance(kernel, AcousticKernel):
-        plan_cls, max_order = fused.AcousticPlan, fused.MAX_ORDER
+    if isinstance(kernel, AcousticKernel):
+        plan_cls = fused.AcousticPlan
     elif isinstance(kernel, AcousticKernel3D):
-        plan_cls, max_order = fused.Acoustic3DPlan, fused.MAX_ORDER_3D
-    elif isinstance(kernel, AnisotropicKernelND) and kernel.dim == 2:
-        plan_cls, max_order = fused.AnisotropicPlan, fused.MAX_ORDER
-    elif isinstance(kernel, AnisotropicKernelND) and kernel.dim == 3:
-        plan_cls, max_order = fused.Anisotropic3DPlan, fused.MAX_ORDER_3D
+        plan_cls = fused.Acoustic3DPlan
+    elif isinstance(kernel, AnisotropicKernelND):
+        plan_cls = fused.Anisotropic3DPlan if kernel.dim == 3 else fused.AnisotropicPlan
     else:  # generic-ND kernels have no fused tier
-        plan_cls, max_order = None, -1
-    ok = fused.available() and plan_cls is not None and kernel.order <= max_order
+        plan_cls = None
+    ok = (
+        fused.available()
+        and plan_cls is not None
+        and kernel.order <= plan_cls.max_order
+    )
     if not ok:
         require(enabled is not True, "fused kernels unavailable", SolverError)
         return None
@@ -432,236 +426,10 @@ class AcousticKernel3D(AcousticKernelND):
         return out.reshape(Ue.shape)
 
 
-class ElasticKernelND:
-    """Batched isotropic elastic element stiffness action, generic over
-    dimension (component-interleaved DOFs).
-
-    Applies the per-axis-pair block structure of
-    :class:`repro.sem.tensor.ElasticSemND` without forming any matrix:
-    the diagonal block of component ``c`` is an acoustic-style per-axis
-    contraction with material coefficients (``lam + 2 mu`` on axis
-    ``c``, ``mu`` elsewhere, times the geometry scales), and each of the
-    ``dim (dim - 1)`` off-diagonal blocks ``g_cd (lam R_cd + mu
-    R_cd^T)`` is a two-stage 1D contraction — ``E = D^T diag(w)`` at the
-    test axis, ``F = diag(w) D`` at the trial axis (``R_cd = E@c (x)
-    F@d (x) Wd@rest``; note ``E = F^T``), with the remaining axes'
-    quadrature weights as a broadcast plane.
-    """
-
-    def __init__(self, order: int, lam, mu, h_axes):
-        from repro.sem.tensor import elastic_axis_scales, elastic_pair_scales
-
-        self.order = int(order)
-        self.n1 = self.order + 1
-        self.lam = np.asarray(lam, dtype=np.float64)
-        self.mu = np.asarray(mu, dtype=np.float64)
-        self.h_axes = np.atleast_2d(np.asarray(h_axes, dtype=np.float64))
-        self.dim = self.h_axes.shape[1]
-        self.n_comp = self.dim
-        _, w = gll_points_weights(self.order)
-        D = lagrange_derivative_matrix(self.order)
-        self.w = w
-        self.KxX = (D.T * w) @ D
-        self.E = D.T * w  # E[i, a] = D[a, i] w[a]
-        self.F = w[:, None] * D
-        self._Et = np.ascontiguousarray(self.E.T)
-        self._Ft = np.ascontiguousarray(self.F.T)
-        self._ws = Workspace()
-
-        # Diagonal blocks: per-component acoustic contractions whose
-        # per-axis scales fold material and geometry together.
-        ne = self.lam.shape[0]
-        s = elastic_axis_scales(self.h_axes)
-        cp = self.lam + 2.0 * self.mu
-        ds = np.empty((ne, self.dim, self.dim))
-        for c in range(self.dim):
-            ds[:, c, :] = self.mu[:, None] * s
-            ds[:, c, c] = cp * s[:, c]
-        self.diag_scales = ds
-        acoustic_cls = AcousticKernel3D if self.dim == 3 else AcousticKernelND
-        self._diag = [acoustic_cls(self.order, ds[:, c, :]) for c in range(self.dim)]
-
-        # Off-diagonal pairs: material-times-geometry coefficients and
-        # the quadrature plane over the axes not in the pair.
-        self.pairs = [
-            (c, d) for c in range(self.dim) for d in range(c + 1, self.dim)
-        ]
-        g = elastic_pair_scales(self.h_axes)
-        n_pairs = len(self.pairs)
-        self.lam_g = np.empty((ne, n_pairs))
-        self.mu_g = np.empty((ne, n_pairs))
-        for p, (c, d) in enumerate(self.pairs):
-            self.lam_g[:, p] = self.lam * g[:, c, d]
-            self.mu_g[:, p] = self.mu * g[:, c, d]
-        bshape = (-1,) + (1,) * self.dim
-        self._lam_b = [self.lam_g[:, p].reshape(bshape) for p in range(n_pairs)]
-        self._mu_b = [self.mu_g[:, p].reshape(bshape) for p in range(n_pairs)]
-        self._wpair = []
-        for c, d in self.pairs:
-            plane = np.ones((1,) * self.dim)
-            for a in range(self.dim):
-                if a not in (c, d):
-                    shape = [1] * self.dim
-                    shape[a] = self.n1
-                    plane = plane * w.reshape(shape)
-            self._wpair.append(plane[None])
-
-    @property
-    def flops_per_element(self) -> int:
-        """Multiply-adds of one element contraction: ``dim`` diagonal
-        acoustic-style contractions plus four two-stage pair
-        contractions per unordered axis pair."""
-        n1 = self.n1
-        diag = sum(k.flops_per_element for k in self._diag)
-        pair_terms = 4 * len(self.pairs)  # lam & mu terms, both directions
-        return diag + pair_terms * (4 * n1 ** (self.dim + 1) + 3 * n1**self.dim)
-
-    @classmethod
-    def _from_params(cls, order: int, lam, mu, h_axes) -> "ElasticKernelND":
-        return cls(order, lam, mu, h_axes)
-
-    def subset(self, ids: np.ndarray) -> "ElasticKernelND":
-        return type(self)._from_params(
-            self.order, self.lam[ids], self.mu[ids], self.h_axes[ids]
-        )
-
-    def _axis_apply(self, U: np.ndarray, A: np.ndarray, axis: int) -> np.ndarray:
-        """Contract the batched tensor ``U`` along spatial ``axis`` with
-        the 1D matrix ``A``: ``out[..., i, ...] = sum_t A[i, t] U[..., t, ...]``."""
-        t = np.tensordot(U, A, axes=([axis + 1], [1]))
-        return np.moveaxis(t, -1, axis + 1)
-
-    def _pair(self, U, c: int, d: int, lg, mg, wp) -> np.ndarray:
-        """Off-diagonal block ``g_cd (lam R_cd + mu R_cd^T)`` applied to
-        one component tensor: ``E`` at the test axis ``c`` / ``F`` at
-        the trial axis ``d`` for the ``lam`` term, roles swapped
-        (``R^T``) for the ``mu`` term."""
-        t1 = self._axis_apply(self._axis_apply(U, self.F, d), self.E, c)
-        t2 = self._axis_apply(self._axis_apply(U, self.E, d), self.F, c)
-        return (lg * t1 + mg * t2) * wp
-
-    def _pair_into(self, U, c: int, d: int, lg, mg, wp, ta, tb, tc, acc) -> None:
-        """Pooled :meth:`_pair`, accumulated onto ``acc`` through three
-        caller scratch tensors (same accumulation order as the seed)."""
-        dim = self.dim
-        _contract_axis(U, self.F, self._Ft, d, dim, ta)
-        _contract_axis(ta, self.E, self._Et, c, dim, tb)
-        _contract_axis(U, self.E, self._Et, d, dim, ta)
-        _contract_axis(ta, self.F, self._Ft, c, dim, tc)
-        tb *= lg
-        tc *= mg
-        tb += tc
-        tb *= wp
-        acc += tb
-
-    @property
-    def workspace_nbytes(self) -> int:
-        """Bytes of pooled contraction scratch built so far (own pool
-        plus the per-component diagonal kernels')."""
-        return self._ws.nbytes + sum(k.workspace_nbytes for k in self._diag)
-
-    def contract(self, Ue: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Pooled contraction: contiguous per-component gathers, batched
-        ``matmul`` blocks, everything through cached scratch tensors.
-        :meth:`contract_ref` keeps the seed allocating path."""
-        if out is None:
-            out = np.empty_like(Ue)
-        n1, dim, nc = self.n1, self.dim, self.n_comp
-        ne = Ue.shape[0]
-        tshape = (ne,) + (n1,) * dim
-        ws = self._ws
-        U = [_kbuf(ws, f"el.u{c}", tshape) for c in range(nc)]
-        O = [_kbuf(ws, f"el.o{c}", tshape) for c in range(nc)]
-        for c in range(nc):
-            U[c].reshape(ne, -1)[:] = Ue[:, c::nc]
-            self._diag[c].contract(
-                U[c].reshape(ne, -1), out=O[c].reshape(ne, -1)
-            )
-        ta = _kbuf(ws, "el.ta", tshape)
-        tb = _kbuf(ws, "el.tb", tshape)
-        tc = _kbuf(ws, "el.tc", tshape)
-        for p, (c, d) in enumerate(self.pairs):
-            lg, mg, wp = self._lam_b[p], self._mu_b[p], self._wpair[p]
-            self._pair_into(U[d], c, d, lg, mg, wp, ta, tb, tc, O[c])
-            self._pair_into(U[c], d, c, lg, mg, wp, ta, tb, tc, O[d])
-        for c in range(nc):
-            out[:, c::nc] = O[c].reshape(ne, -1)
-        return out
-
-    def contract_ref(self, Ue: np.ndarray) -> np.ndarray:
-        """Seed (allocating) contraction — the reference the pooled
-        path is validated against."""
-        n1, dim, nc = self.n1, self.dim, self.n_comp
-        ne = Ue.shape[0]
-        tshape = (ne,) + (n1,) * dim
-        comps = [Ue[:, c::nc] for c in range(nc)]
-        U = [comp.reshape(tshape) for comp in comps]
-        out = [self._diag[c].contract_ref(comps[c]).reshape(tshape) for c in range(nc)]
-        for p, (c, d) in enumerate(self.pairs):
-            lg, mg, wp = self._lam_b[p], self._mu_b[p], self._wpair[p]
-            out[c] += self._pair(U[d], c, d, lg, mg, wp)
-            out[d] += self._pair(U[c], d, c, lg, mg, wp)
-        res = np.empty_like(Ue)
-        for c in range(nc):
-            res[:, c::nc] = out[c].reshape(ne, -1)
-        return res
-
-    # Named geometry views the fused plans bind to.
-    @property
-    def hx(self) -> np.ndarray:
-        return self.h_axes[:, 0]
-
-    @property
-    def hy(self) -> np.ndarray:
-        return self.h_axes[:, 1]
-
-
-class ElasticKernel(ElasticKernelND):
-    """2D P-SV elastic kernel — the four-kernel form of
-    :mod:`repro.sem.elastic2d` (in 2D the shear coupling ``C = E (x) F``
-    is geometry-free).  Keeps the named ``(lam, mu, hx, hy)`` constructor
-    the fused C tier (:class:`repro.sem.fused.ElasticPlan`) binds to.
-    """
-
-    def __init__(self, order: int, lam, mu, hx, hy):
-        hx = np.asarray(hx, dtype=np.float64)
-        hy = np.asarray(hy, dtype=np.float64)
-        super().__init__(order, lam, mu, np.stack([hx, hy], axis=1))
-
-    @classmethod
-    def _from_params(cls, order: int, lam, mu, h_axes) -> "ElasticKernel":
-        return cls(order, lam, mu, h_axes[:, 0], h_axes[:, 1])
-
-
-class ElasticKernel3D(ElasticKernelND):
-    """3D hexahedral elastic kernel: nine per-axis-pair blocks.
-
-    The NumPy tier overrides the generic ``tensordot`` axis contraction
-    with copy-free batched ``matmul`` reshapes (mirroring
-    :class:`AcousticKernel3D`); the fused C tier
-    (:class:`repro.sem.fused.Elastic3DPlan`, kernel ``el_apply3``)
-    additionally keeps the whole three-component element workspace on
-    registers/L1 so only gather/scatter touch memory.
-    """
-
-    def __init__(self, order: int, lam, mu, h_axes):
-        h_axes = np.atleast_2d(np.asarray(h_axes, dtype=np.float64))
-        require(h_axes.shape[1] == 3, "ElasticKernel3D needs (ne, 3) h_axes", SolverError)
-        super().__init__(order, lam, mu, h_axes)
-
-    def _axis_apply(self, U: np.ndarray, A: np.ndarray, axis: int) -> np.ndarray:
-        ne, n1 = U.shape[0], self.n1
-        if axis == 0:
-            return (A @ U.reshape(ne, n1, n1 * n1)).reshape(U.shape)
-        if axis == 1:
-            return (A @ U.reshape(ne * n1, n1, n1)).reshape(U.shape)
-        return (U.reshape(-1, n1) @ A.T).reshape(U.shape)
-
-
 class AnisotropicKernelND:
-    """Batched general-anisotropy elastic stiffness action, generic over
-    dimension (component-interleaved DOFs; fused C tier via
-    ``an_apply``/``an_apply3``).
+    """Batched elastic stiffness action for any per-element Voigt ``C``
+    (isotropic or anisotropic), generic over dimension
+    (component-interleaved DOFs; fused C tier via ``an_apply``/``an_apply3``).
 
     Applies the operator in *stress form*, the classic SEM structure for
     arbitrary ``C``: with ``G_b`` the 1D derivative along axis ``b`` and
@@ -683,7 +451,6 @@ class AnisotropicKernelND:
     """
 
     def __init__(self, order: int, C, h_axes):
-        from repro.sem.materials import VOIGT_SIZE, voigt_to_tensor
         from repro.sem.tensor import elastic_pair_scales
 
         self.order = int(order)
@@ -754,7 +521,7 @@ class AnisotropicKernelND:
 
     def contract(self, Ue: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Pooled stress-form contraction: gradient stack and stress
-        stack live in cached ``(ne, dim^2, n_loc)`` workspaces, the
+        stack live in cached ``(dim^2, ne, n_loc)`` workspaces, the
         Hooke combine is one batched ``matmul`` with the ``(dim^2,
         dim^2)`` coefficient matrices (same multiply-add structure as
         the seed einsum).  :meth:`contract_ref` keeps the seed path."""
@@ -768,29 +535,28 @@ class AnisotropicKernelND:
         Uc = _kbuf(ws, "an.u", tshape)
         t = _kbuf(ws, "an.t", tshape)
         acc = _kbuf(ws, "an.acc", tshape)
-        DU = _kbuf(ws, "an.du", (ne, dim * dim, nl))
-        S = _kbuf(ws, "an.s", (ne, dim * dim, nl))
-        # 1. gradient of every component along every axis, written into
-        #    row (d, b) of the stack (trailing-axis reshapes only, so
-        #    the strided row views stay views).
+        # Component-major stacks: every gradient / stress plane is one
+        # contiguous (ne, n_loc) block, so each axis contraction runs on
+        # contiguous operands (the last axis as a single GEMM) — about
+        # twice as fast as element-major planes, with identical results.
+        DU = _kbuf(ws, "an.du", (dim * dim, ne, nl))
+        S = _kbuf(ws, "an.s", (dim * dim, ne, nl))
+        # 1. gradient of every component along every axis, plane (d, b).
         for d in range(nc):
             Uc.reshape(ne, nl)[:] = Ue[:, d::nc]
             for b in range(dim):
                 _contract_axis(
-                    Uc, self.D, self.Dt, b, dim,
-                    DU[:, d * dim + b].reshape(tshape),
+                    Uc, self.D, self.Dt, b, dim, DU[d * dim + b].reshape(tshape)
                 )
-        # 2. Hooke combine + quadrature weights.
-        np.matmul(self._coefmat, DU, out=S)
+        # 2. Hooke combine (batched over elements) + quadrature weights.
+        np.matmul(self._coefmat, DU.transpose(1, 0, 2), out=S.transpose(1, 0, 2))
         S *= self._wflat
         # 3. weighted divergence back onto each component.
         for c in range(nc):
-            _contract_axis(
-                S[:, c * dim].reshape(tshape), self.Dt, self.D, 0, dim, acc
-            )
+            _contract_axis(S[c * dim].reshape(tshape), self.Dt, self.D, 0, dim, acc)
             for a in range(1, dim):
                 _contract_axis(
-                    S[:, c * dim + a].reshape(tshape), self.Dt, self.D, a, dim, t
+                    S[c * dim + a].reshape(tshape), self.Dt, self.D, a, dim, t
                 )
                 acc += t
             out[:, c::nc] = acc.reshape(ne, nl)
@@ -867,11 +633,6 @@ class MatrixFreeStiffness:
         self.kernel = kernel
         self.element_dofs = np.ascontiguousarray(element_dofs, dtype=np.int64)
         self.n_dof = int(n_dof)
-        require(
-            self.element_dofs.size == 0 or self.element_dofs.max() < self.n_dof,
-            "element dof out of range",
-            SolverError,
-        )
         self.gmask = None if gmask is None else np.ascontiguousarray(gmask, dtype=np.float64)
         self.Minv = None if Minv is None else np.ascontiguousarray(Minv, dtype=np.float64)
         self._use_fused = use_fused
@@ -889,6 +650,15 @@ class MatrixFreeStiffness:
             )
             if self.element_dofs.size
             else None
+        )
+        # The fused plan checked the dofs before binding them; the NumPy
+        # tier's clipped gathers would not notice a bad index.
+        require(
+            self._plan is not None
+            or self.element_dofs.size == 0
+            or self.element_dofs.view(np.uint64).max() < self.n_dof,  # negatives wrap high
+            "element dof index out of range",
+            SolverError,
         )
         # Chunked NumPy tier: contiguous element ranges, one per worker,
         # each with its own kernel subset; partials are summed in chunk
@@ -958,6 +728,8 @@ class MatrixFreeStiffness:
             return out
         if self._plan is not None:
             return self._plan(u, out=out)
+        if u.shape != (self.n_dof,):  # the clipped gather below would not notice
+            raise SolverError(f"u has shape {u.shape}, expected ({self.n_dof},)")
         if self._chunks is not None:
             return self._apply_chunked(u, out=out)
         if not self.pooled:
@@ -1239,27 +1011,17 @@ def kernel_from_spec(spec: KernelSpec):
         if spec.dim == 3:
             return AcousticKernel3D(spec.order, scales)
         return AcousticKernelND(spec.order, scales)
-    if spec.physics == "elastic":
-        lam, mu = _param(spec, "lam"), _param(spec, "mu")
+    if spec.physics in ("elastic", "anisotropic_elastic"):
         h = np.atleast_2d(_param(spec, "h_axes"))
         require(
-            h.shape[1] == spec.dim,
-            f"elastic h_axes must be (n_elements, {spec.dim})",
+            spec.dim in (2, 3) and h.shape[1] == spec.dim,
+            f"{spec.physics} h_axes must be (n_elements, {spec.dim}), dim in (2, 3)",
             SolverError,
         )
-        if spec.dim == 2:
-            return ElasticKernel(spec.order, lam, mu, h[:, 0], h[:, 1])
-        if spec.dim == 3:
-            return ElasticKernel3D(spec.order, lam, mu, h)
-        return ElasticKernelND(spec.order, lam, mu, h)
-    if spec.physics == "anisotropic_elastic":
-        C = _param(spec, "C")
-        h = np.atleast_2d(_param(spec, "h_axes"))
-        require(
-            h.shape[1] == spec.dim,
-            f"anisotropic h_axes must be (n_elements, {spec.dim})",
-            SolverError,
-        )
+        if spec.physics == "elastic":
+            C = isotropic_stiffness(_param(spec, "lam"), _param(spec, "mu"), spec.dim)
+        else:
+            C = _param(spec, "C")
         return AnisotropicKernelND(spec.order, C, h)
     raise SolverError(f"no element kernel registered for physics {spec.physics!r}")
 

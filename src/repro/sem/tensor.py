@@ -24,16 +24,19 @@ per GLL node:
   from :meth:`SemND.element_system_batch`, Dirichlet masking, the
   explicit :meth:`SemND.kernel_spec` physics declaration, and the
   backend-pluggable :meth:`SemND.operator`;
+* :class:`VectorSemMixin`, what every elastic assembler shares: the
+  per-component views and the stress-form element stiffness built from
+  a rank-4 per-element stiffness tensor;
 * :class:`ElasticSemND`, the isotropic elastic (P-SV / P-S) assembler
-  generic over dimension: per-element Lamé parameters and density,
-  ``dim`` components per node, P/S wave speeds for CFL and LTS level
+  for 2D and 3D: per-element Lamé parameters and density, ``dim``
+  components per node, P/S wave speeds for CFL and LTS level
   assignment (paper Eq. (7) drives levels with the *P* speed).
 
 Constitutive parameters live in :mod:`repro.sem.materials`: every
-assembler resolves a :class:`~repro.sem.materials.Material` (the legacy
-``lam=``/``mu=``/``rho=`` kwargs are thin wrappers), which owns
-broadcasting, validation and the maximal wave speed the CFL/LTS layer
-pulls via :meth:`SemND.max_velocity`.  The general-anisotropy assembler
+assembler takes a :class:`~repro.sem.materials.Material` as
+``material=``, which owns broadcasting, validation and the maximal wave
+speed the CFL/LTS layer pulls via :meth:`SemND.max_velocity`.  The
+general-anisotropy assembler
 (:class:`repro.sem.anisotropic.AnisotropicElasticSemND`) builds on the
 same hooks.
 
@@ -49,7 +52,6 @@ element against the O(n^6) of a dense element matvec (paper Sec. II-C).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,30 +60,19 @@ import scipy.sparse as sp
 from repro.core.operator import KernelSpec
 from repro.mesh.mesh import Mesh
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
-from repro.sem.materials import IsotropicAcoustic, IsotropicElastic, Material
+from repro.sem.materials import (
+    IsotropicAcoustic,
+    IsotropicElastic,
+    Material,
+    isotropic_stiffness,
+    voigt_to_tensor,
+)
 from repro.util.errors import SolverError
 from repro.util.validation import require
 
 #: Cap on scattered COO entries per assembly chunk (~64 MB of values).
 _CHUNK_ENTRIES = 8_000_000
 
-
-def _warn_legacy_kwargs(obj, base: type, kwargs: str, material_cls: str) -> None:
-    """Deprecation notice for the loose constitutive constructor kwargs.
-
-    The wrappers stay bit-identical to the material path; only the
-    spelling is deprecated.  The stacklevel must reach the *user's*
-    frame: 3 when ``base.__init__`` was called directly, 4 when a
-    dimension-pinned subclass ``__init__`` (Sem2D/Sem3D/ElasticSem2D/
-    ElasticSem3D) forwarded here.
-    """
-    warnings.warn(
-        f"{type(obj).__name__}({kwargs}) is deprecated; pass "
-        f"material={material_cls}(...) (repro.sem.materials) or declare a "
-        f"repro.api.MaterialSpec — behaviour is unchanged",
-        DeprecationWarning,
-        stacklevel=3 if type(obj) is base else 4,
-    )
 
 #: Element-local edge slots per dimension: corner pairs, ordered
 #: axis-by-axis (x-direction edges first).  Local corner index packs the
@@ -207,24 +198,12 @@ def axis_cross_kernels(order: int, dim: int) -> dict[tuple[int, int], np.ndarray
     return out
 
 
-def elastic_axis_scales(h_axes: np.ndarray) -> np.ndarray:
-    """Per-element, per-axis geometry scales ``prod(h) / (2^(dim-2) h_a^2)``.
-
-    The material-free part of the elastic diagonal blocks: the ``a``-axis
-    reference kernel of component ``c`` enters with coefficient
-    ``(lam + 2 mu) s_a`` when ``a == c`` and ``mu s_a`` otherwise (i.e.
-    :func:`acoustic_axis_scales` with ``c^2 = 1``).
-    """
-    h_axes = np.asarray(h_axes, dtype=np.float64)
-    return acoustic_axis_scales(np.ones(h_axes.shape[0]), h_axes)
-
-
 def elastic_pair_scales(h_axes: np.ndarray) -> np.ndarray:
     """Axis-pair geometry scales ``g[e, a, b] = prod(h) / (2^(dim-2) h_a h_b)``.
 
     ``g[:, c, d]`` multiplies the cross kernel of the off-diagonal
-    elastic block ``(c, d)``; the diagonal recovers
-    :func:`elastic_axis_scales`.  In 2D ``g[:, 0, 1] = 1`` — the shear
+    elastic block ``(c, d)``; the diagonal ``g[:, a, a]`` is the
+    per-axis scale of :func:`acoustic_axis_scales` with ``c^2 = 1``.  In 2D ``g[:, 0, 1] = 1`` — the shear
     coupling is geometry-free there, but *not* in 3D (``hz / 2`` for the
     (x, y) pair, etc.).
     """
@@ -524,23 +503,14 @@ class SemND:
         order: int = 4,
         dirichlet: bool = False,
         material: Material | None = None,
-        rho=None,
     ):
         require(mesh.dim in (1, 2, 3), "SemND requires dim in (1, 2, 3)", SolverError)
         require(order >= 1, "order must be >= 1", SolverError)
         if not hasattr(self, "material"):
             # Scalar acoustic base: the material defaults to the mesh's
-            # per-element wave speed with unit density; ``rho`` is the
-            # variable-density convenience, ``material`` the full form.
-            require(
-                material is None or rho is None,
-                "pass either material= or rho=, not both",
-                SolverError,
-            )
+            # per-element wave speed with unit density.
             if material is None:
-                if rho is not None:
-                    _warn_legacy_kwargs(self, SemND, "rho=", "IsotropicAcoustic")
-                material = IsotropicAcoustic(mesh.c, rho=1.0 if rho is None else rho)
+                material = IsotropicAcoustic(mesh.c)
             require(
                 isinstance(material, self.material_cls),
                 f"{type(self).__name__} needs a {self.material_cls.__name__} material",
@@ -835,9 +805,62 @@ class SemND:
 # Vector-valued physics: shared conveniences
 # ----------------------------------------------------------------------
 class VectorSemMixin:
-    """Component-addressing conveniences shared by every vector-valued
-    assembler (isotropic and anisotropic elastic): the interleaved
-    layout ``n_comp * node + comp`` exposed as per-component views."""
+    """What every elastic assembler (isotropic and anisotropic) shares:
+    the interleaved layout ``n_comp * node + comp`` exposed as
+    per-component views, and the stress-form element stiffness built
+    from the rank-4 per-element stiffness ``c[e, c, a, d, b]`` that each
+    subclass returns from ``_stiffness_tensor(ids)``."""
+
+    def element_system_batch(
+        self, ids: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Dense elastic stiffness ``(m, dim n_loc, dim n_loc)`` and
+        diagonal mass ``(m, dim n_loc)`` of elements ``ids`` (all when
+        ``None``).
+
+        On an axis-aligned box the component block ``(c, d)`` is a
+        per-element scalar combination of geometry-free reference
+        kernels::
+
+            K_cd = sum_a c_cada g_aa K_a
+                 + sum_{a<b} g_ab (c_cadb R_ab + c_cbda R_ab^T)
+
+        with the per-axis kernels ``K_a`` (:func:`axis_stiffness_kernels`),
+        the cross kernels ``R_ab`` (:func:`axis_cross_kernels`) and the
+        pair scales ``g_ab`` (:func:`elastic_pair_scales`) — the
+        assembled counterpart of
+        :class:`repro.sem.matfree.AnisotropicKernelND`.  Each block is
+        one GEMM of the per-element coefficients with the stacked
+        kernels; coefficient columns that vanish on every element of the
+        batch are dropped first, which keeps isotropic assembly — where
+        most ``c_cadb`` are zero — cheap.  Major symmetry ``c_cadb =
+        c_dbca`` (which both elastic materials guarantee) gives ``K_dc =
+        K_cd^T``, so only the blocks ``c <= d`` are computed.
+        """
+        ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)
+        nc = self.n_comp
+        n_loc = (self.order + 1) ** self.dim
+        # Reference kernels, each with the axis pair (p, q) whose
+        # coefficient c[c, p, d, q] g[p, q] multiplies it.
+        pq = [(a, a) for a in range(self.dim)]
+        refs = list(self._axis_kernels())
+        for (a, b), R in self._cross_kernels().items():
+            pq += [(a, b), (b, a)]
+            refs += [R, R.T]
+        refs = np.stack([r.ravel() for r in refs])
+        p, q = np.array(pq).T
+        c4 = self._stiffness_tensor(ids)
+        g = elastic_pair_scales(self.h_axes[ids])[:, p, q]
+        Ke = np.empty((len(ids), nc * n_loc, nc * n_loc))
+        for c in range(nc):
+            for d in range(c, nc):
+                coef = c4[:, c, p, d, q] * g
+                keep = coef.any(axis=0)
+                blk = (coef[:, keep] @ refs[keep]).reshape(len(ids), n_loc, n_loc)
+                Ke[:, c::nc, d::nc] = blk
+                if d != c:
+                    Ke[:, d::nc, c::nc] = blk.transpose(0, 2, 1)
+        return Ke, self.element_mass_batch(ids)
 
     def component_dofs(self, comp: int) -> np.ndarray:
         """All global DOFs of displacement component ``comp`` (0 = x)."""
@@ -865,38 +888,32 @@ class VectorSemMixin:
 # ----------------------------------------------------------------------
 class ElasticSemND(VectorSemMixin, SemND):
     """Isotropic elastic SEM (the paper's Eqs. (1)-(2)) on a conforming
-    mesh of axis-aligned box elements, generic over ``mesh.dim``.
+    2D quad or 3D hex mesh of axis-aligned box elements.
 
     ``dim`` displacement components per GLL node, component-interleaved
     (``dim * node + comp``); per-element Lamé parameters ``lam``, ``mu``
-    and density ``rho`` (scalars broadcast); free-surface (natural)
+    and density ``rho`` from an
+    :class:`repro.sem.materials.IsotropicElastic` ``material=`` (the
+    default is ``lam = mu = rho = 1``); free-surface (natural)
     boundaries by default, optional homogeneous Dirichlet clamping.
 
-    On an axis-aligned box every elastic element matrix is a per-element
-    scalar combination of reference kernels: the diagonal block of
-    component ``c`` is ``sum_a coef_a s_a K_a`` with ``coef_a = lam +
-    2 mu`` when ``a == c`` and ``mu`` otherwise (``K_a`` the per-axis
-    stiffness kernels, ``s_a`` the scales of
-    :func:`elastic_axis_scales`); the off-diagonal block ``(c, d)`` is
-    ``g_cd (lam R_cd + mu R_cd^T)`` with the cross kernels of
-    :func:`axis_cross_kernels` and the pair scales of
-    :func:`elastic_pair_scales`.  This vectorizes assembly (no
-    per-element B-matrix loop) and is exactly the contraction structure
-    the matrix-free backend (:class:`repro.sem.matfree.ElasticKernelND`)
-    applies without forming any matrix.
+    Isotropy is a special stiffness tensor, not a separate operator:
+    the assembler builds the rank-4 ``c_ijkl = lam d_ij d_kl + mu (d_ik
+    d_jl + d_il d_jk)`` and shares the stress-form element stiffness of
+    :class:`VectorSemMixin` with
+    :class:`repro.sem.anisotropic.AnisotropicElasticSemND`; the
+    matrix-free backend likewise runs its ``"elastic"`` kernel spec
+    through :class:`repro.sem.matfree.AnisotropicKernelND`.  The spec
+    keeps ``lam``/``mu`` (not ``C``), so kernel-tier labels and stage
+    cache keys are those of the isotropic physics.
 
     ``mesh.c`` is *ignored* for material properties; LTS levels should
     follow the per-element P-wave speed (Eq. (7)) — pass the assembler
     as ``assembler=`` to :func:`repro.core.levels.assign_levels` and the
-    maximal material speed (here: P) is pulled automatically.
-
-    Parameters come either as the legacy ``lam=``/``mu=``/``rho=``
-    kwargs or as a :class:`repro.sem.materials.IsotropicElastic`
-    ``material=`` (the two are bit-identical; the kwargs are thin
-    wrappers over the material).  ``mu = 0`` elements are fluid
-    (acoustic-limit) inclusions: their S speed is 0, so level
-    assignment and CFL must use the P speed — which ``max_velocity`` /
-    ``assembler=`` do.
+    maximal material speed (here: P) is pulled automatically.  ``mu =
+    0`` elements are fluid (acoustic-limit) inclusions: their S speed is
+    0, so level assignment and CFL must use the P speed — which
+    ``max_velocity`` / ``assembler=`` do.
     """
 
     physics = "elastic"
@@ -906,34 +923,19 @@ class ElasticSemND(VectorSemMixin, SemND):
         self,
         mesh: Mesh,
         order: int = 4,
-        lam=None,
-        mu=None,
-        rho=None,
         dirichlet: bool = False,
         material: IsotropicElastic | None = None,
     ):
+        require(mesh.dim in (2, 3), "elastic SEM requires dim in (2, 3)", SolverError)
         if material is None:
-            if lam is not None or mu is not None or rho is not None:
-                _warn_legacy_kwargs(self, ElasticSemND, "lam=/mu=/rho=",
-                                    "IsotropicElastic")
-            material = IsotropicElastic(
-                lam=1.0 if lam is None else lam,
-                mu=1.0 if mu is None else mu,
-                rho=1.0 if rho is None else rho,
-            )
-        else:
-            require(
-                lam is None and mu is None and rho is None,
-                "pass either material= or lam=/mu=/rho=, not both",
-                SolverError,
-            )
-            require(
-                isinstance(material, self.material_cls),
-                f"{type(self).__name__} needs a {self.material_cls.__name__} material",
-                SolverError,
-            )
+            material = IsotropicElastic()
+        require(
+            isinstance(material, self.material_cls),
+            f"{type(self).__name__} needs a {self.material_cls.__name__} material",
+            SolverError,
+        )
         self.material = material.expand(mesh.n_elements)
-        # Back-compat per-element views (same arrays as the material's).
+        # Per-element views (same arrays as the material's).
         self.lam = self.material.lam
         self.mu = self.material.mu
         self.rho = self.material.rho
@@ -945,6 +947,13 @@ class ElasticSemND(VectorSemMixin, SemND):
 
     def _setup_physics(self) -> None:
         pass  # lam/mu/rho are validated by the material before super()
+
+    def _stiffness_tensor(self, ids: np.ndarray) -> np.ndarray:
+        # Built directly, not via material.as_anisotropic(): that path
+        # validates positive definiteness, which fluid (mu = 0)
+        # elements legitimately fail.
+        C = isotropic_stiffness(self.lam[ids], self.mu[ids], self.dim)
+        return voigt_to_tensor(C, self.dim)
 
     def _density(self) -> np.ndarray:
         return self.rho
@@ -962,39 +971,6 @@ class ElasticSemND(VectorSemMixin, SemND):
                 "h_axes": self.h_axes[sl],
             },
         )
-
-    def element_system_batch(
-        self, ids: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense elastic stiffness ``(m, dim n_loc, dim n_loc)`` and
-        diagonal mass ``(m, dim n_loc)`` of elements ``ids`` (all when
-        ``None``), built from the reference kernels (class docstring)."""
-        ids = np.arange(self.mesh.n_elements) if ids is None else np.asarray(ids)
-        dim = self.dim
-        nc = self.n_comp
-        n_loc = (self.order + 1) ** dim
-        kernels = self._axis_kernels()
-        cross = self._cross_kernels()
-        lam, mu = self.lam[ids], self.mu[ids]
-        cp = lam + 2 * mu
-        s = elastic_axis_scales(self.h_axes[ids])
-        g = elastic_pair_scales(self.h_axes[ids])
-        Ke = np.zeros((len(ids), nc * n_loc, nc * n_loc))
-        for c in range(nc):
-            blk = (cp * s[:, c])[:, None, None] * kernels[c]
-            for a in range(dim):
-                if a != c:
-                    blk = blk + (mu * s[:, a])[:, None, None] * kernels[a]
-            Ke[:, c::nc, c::nc] = blk
-        for c in range(dim):
-            for d in range(c + 1, dim):
-                R = cross[(c, d)]
-                lam_g = (lam * g[:, c, d])[:, None, None]
-                mu_g = (mu * g[:, c, d])[:, None, None]
-                B = lam_g * R + mu_g * R.T
-                Ke[:, c::nc, d::nc] = B
-                Ke[:, d::nc, c::nc] = np.swapaxes(B, 1, 2)
-        return Ke, self.element_mass_batch(ids)
 
     # -- wave speeds ----------------------------------------------------
     def p_velocity(self) -> np.ndarray:

@@ -14,10 +14,10 @@ from repro.core import (
 from repro.core.lts_newmark import LTSNewmarkSolver, dof_levels_from_elements
 from repro.core.newmark import NewmarkSolver, staggered_initial_velocity
 from repro.mesh import uniform_grid
-from repro.sem import ElasticSem3D, discrete_energy, fused
+from repro.sem import ElasticSem3D, IsotropicElastic, discrete_energy, fused
+from repro.sem.materials import isotropic_stiffness
 from repro.sem.matfree import (
-    ElasticKernel3D,
-    ElasticKernelND,
+    AnisotropicKernelND,
     kernel_from_spec,
     local_stiffness,
 )
@@ -32,11 +32,15 @@ def _mesh(shape=(3, 2, 2)):
     return uniform_grid(shape, (1.0, 1.3, 0.8))
 
 
-def _sem(order=3, shape=(3, 2, 2), **kw):
-    kw.setdefault("lam", 2.3)
-    kw.setdefault("mu", 1.7)
-    kw.setdefault("rho", 1.1)
-    return ElasticSem3D(_mesh(shape), order=order, **kw)
+def _sem(order=3, shape=(3, 2, 2), dirichlet=False, fluid=False):
+    """Isotropic test medium; ``fluid=True`` sets ``mu = 0`` on every
+    third element (fluid stripes inside the solid)."""
+    mesh = _mesh(shape)
+    mu = np.full(mesh.n_elements, 1.7)
+    if fluid:
+        mu[::3] = 0.0
+    material = IsotropicElastic(lam=2.3, mu=mu, rho=1.1)
+    return ElasticSem3D(mesh, order=order, dirichlet=dirichlet, material=material)
 
 
 def _rel_err(got, ref):
@@ -46,7 +50,8 @@ def _rel_err(got, ref):
 @pytest.fixture(scope="module")
 def elastic():
     return ElasticSem3D(
-        uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3, lam=2.0, mu=1.0, rho=1.0
+        uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3,
+        material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.0),
     )
 
 
@@ -91,7 +96,8 @@ class TestAssembly:
         """A is linear in (lambda, mu)/rho: scaling both by 4 scales
         every entry of A by 4 (homogeneity check of the assembly)."""
         sem4 = ElasticSem3D(
-            uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3, lam=8.0, mu=4.0, rho=1.0
+            uniform_grid((2, 2, 2), (1.0, 1.0, 1.0)), order=3,
+            material=IsotropicElastic(lam=8.0, mu=4.0, rho=1.0),
         )
         diff = sem4.A - 4.0 * elastic.A
         assert np.max(np.abs(diff.toarray())) < 1e-9
@@ -106,7 +112,7 @@ class TestAssembly:
 
     def test_rejects_bad_materials_and_dim(self):
         with pytest.raises(SolverError):
-            ElasticSem3D(_mesh(), mu=-1.0)
+            ElasticSem3D(_mesh(), material=IsotropicElastic(mu=-1.0))
         with pytest.raises(SolverError):
             ElasticSem3D(uniform_grid((2, 2)), order=2)
 
@@ -115,25 +121,32 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("order", range(1, 5))
     @pytest.mark.parametrize("dirichlet", [False, True])
     def test_full_apply(self, order, dirichlet):
-        sem = _sem(order=order, dirichlet=dirichlet)
-        u = np.random.default_rng(order).standard_normal(sem.n_dof)
-        ref = sem.A @ u
-        for uf in FUSED_PARAMS:
-            op = sem.operator("matfree", use_fused=uf)
-            assert _rel_err(op @ u, ref) < 1e-12, (order, dirichlet, uf)
+        for fluid in (False, True):
+            sem = _sem(order=order, dirichlet=dirichlet, fluid=fluid)
+            u = np.random.default_rng(order).standard_normal(sem.n_dof)
+            ref = sem.A @ u
+            for uf in FUSED_PARAMS:
+                for threads in (None, 2):
+                    op = sem.operator("matfree", use_fused=uf, threads=threads)
+                    assert _rel_err(op @ u, ref) < 1e-12, (order, dirichlet, fluid, uf, threads)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("dirichlet", [False, True])
     def test_restricted_apply(self, order, dirichlet):
-        sem = _sem(order=order, dirichlet=dirichlet)
-        rng = np.random.default_rng(order)
-        u = rng.standard_normal(sem.n_dof)
-        cols = rng.choice(sem.n_dof, size=max(1, sem.n_dof // 3), replace=False)
-        ref = sem.operator("assembled").restrict(cols).apply(u)
-        for uf in FUSED_PARAMS:
-            restr = sem.operator("matfree", use_fused=uf).restrict(cols)
-            assert _rel_err(restr.apply(u), ref) < 1e-12, (order, dirichlet, uf)
-            assert restr.ops > 0
+        for fluid in (False, True):
+            sem = _sem(order=order, dirichlet=dirichlet, fluid=fluid)
+            rng = np.random.default_rng(order)
+            u = rng.standard_normal(sem.n_dof)
+            cols = rng.choice(sem.n_dof, size=max(1, sem.n_dof // 3), replace=False)
+            ref = sem.operator("assembled").restrict(cols).apply(u)
+            for uf in FUSED_PARAMS:
+                for threads in (None, 2):
+                    op = sem.operator("matfree", use_fused=uf, threads=threads)
+                    restr = op.restrict(cols)
+                    assert _rel_err(restr.apply(u), ref) < 1e-12, (
+                        order, dirichlet, fluid, uf, threads
+                    )
+                    assert restr.ops > 0
 
     def test_heterogeneous_materials(self):
         rng = np.random.default_rng(3)
@@ -141,7 +154,9 @@ class TestBackendEquivalence:
         lam = rng.uniform(1.0, 4.0, mesh.n_elements)
         mu = rng.uniform(0.5, 2.0, mesh.n_elements)
         rho = rng.uniform(0.8, 1.2, mesh.n_elements)
-        sem = ElasticSem3D(mesh, order=3, lam=lam, mu=mu, rho=rho)
+        sem = ElasticSem3D(
+            mesh, order=3, material=IsotropicElastic(lam=lam, mu=mu, rho=rho)
+        )
         u = rng.standard_normal(sem.n_dof)
         ref = sem.A @ u
         for uf in FUSED_PARAMS:
@@ -172,7 +187,7 @@ class TestBackendEquivalence:
     def test_nnz_counts_contraction_flops(self):
         sem = _sem(order=3)
         op = sem.operator("matfree")
-        assert isinstance(op.kernel, ElasticKernel3D)
+        assert isinstance(op.kernel, AnisotropicKernelND)
         assert op.nnz == sem.mesh.n_elements * op.kernel.flops_per_element
         cols = np.arange(10)
         assert 0 < op.restrict(cols).ops < op.nnz
@@ -193,9 +208,10 @@ class TestKernelSpec:
     def test_kernel_from_spec_dispatch(self):
         sem = _sem(order=2)
         k = kernel_from_spec(sem.kernel_spec())
-        assert isinstance(k, ElasticKernel3D)
-        assert isinstance(k, ElasticKernelND)
-        assert k.n_comp == 3
+        assert isinstance(k, AnisotropicKernelND)
+        assert (k.dim, k.n_comp) == (3, 3)
+        # the isotropic spec runs the stress form with C built from lam/mu
+        assert np.array_equal(k.C, isotropic_stiffness(sem.lam, sem.mu, 3))
 
     def test_unknown_physics_rejected(self):
         spec = KernelSpec(physics="magnetic", order=2, dim=3, n_comp=1, params={})
@@ -226,11 +242,14 @@ class TestFusedGating3D:
     def test_fused_3d_plan_built_when_available(self):
         sem = _sem(order=2)
         plan = sem.operator("matfree")._stiffness._plan
-        assert isinstance(plan, fused.Elastic3DPlan)
+        assert isinstance(plan, fused.Anisotropic3DPlan)
 
     def test_order_above_3d_cap_falls_back_to_numpy(self):
         order = fused.MAX_ORDER_3D + 1
-        sem = ElasticSem3D(uniform_grid((1, 1, 1)), order=order, lam=2.0, mu=1.0)
+        sem = ElasticSem3D(
+            uniform_grid((1, 1, 1)), order=order,
+            material=IsotropicElastic(lam=2.0, mu=1.0),
+        )
         op = sem.operator("matfree")  # auto: numpy fallback
         assert op._stiffness._plan is None
         u = np.random.default_rng(0).standard_normal(sem.n_dof)
@@ -284,7 +303,7 @@ class TestElasticLTS3D:
         mu = np.full(mesh.n_elements, 1.0)
         lam[7] = 32.0
         mu[7] = 16.0  # cp factor-4 inclusion
-        sem = ElasticSem3D(mesh, order=2, lam=lam, mu=mu)
+        sem = ElasticSem3D(mesh, order=2, material=IsotropicElastic(lam=lam, mu=mu))
         levels = assign_levels(mesh, c_cfl=0.35, order=2, velocity=sem.p_velocity())
         assert levels.n_levels >= 2  # P-velocity-driven, not geometry
         dof_level = dof_levels_from_elements(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import uniform_grid
-from repro.sem import ElasticSem2D, Sem2D, fused
+from repro.sem import ElasticSem2D, IsotropicElastic, Sem2D, fused
 from repro.sem.matfree import (
     MatrixFreeOperator,
     MatrixFreeStiffness,
@@ -28,6 +28,18 @@ def _mesh(shape=(5, 4)):
 
 def _rel_err(got, ref):
     return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-30)
+
+
+def _elastic(order, fluid=False, lam=2.3, mu=1.7, rho=1.1):
+    """Isotropic elastic assembler; ``fluid=True`` sets ``mu = 0`` on
+    every third element (fluid stripes inside the solid)."""
+    mesh = _mesh((4, 3))
+    mu = np.full(mesh.n_elements, mu)
+    if fluid:
+        mu[::3] = 0.0
+    return ElasticSem2D(
+        mesh, order=order, material=IsotropicElastic(lam=lam, mu=mu, rho=rho)
+    )
 
 
 class TestAcousticEquivalence:
@@ -78,26 +90,31 @@ class TestAcousticEquivalence:
 class TestElasticEquivalence:
     @pytest.mark.parametrize("order", range(1, 9))
     def test_full_apply(self, order):
-        el = ElasticSem2D(_mesh((4, 3)), order=order, lam=2.3, mu=1.7, rho=1.1)
-        u = np.random.default_rng(order).standard_normal(el.n_dof)
-        ref = el.A @ u
-        for uf in FUSED_PARAMS:
-            op = el.operator("matfree", use_fused=uf)
-            assert _rel_err(op @ u, ref) < 1e-12, (order, uf)
+        for fluid in (False, True):
+            el = _elastic(order, fluid)
+            u = np.random.default_rng(order).standard_normal(el.n_dof)
+            ref = el.A @ u
+            for uf in FUSED_PARAMS:
+                for threads in (None, 2):
+                    op = el.operator("matfree", use_fused=uf, threads=threads)
+                    assert _rel_err(op @ u, ref) < 1e-12, (order, fluid, uf, threads)
 
     @pytest.mark.parametrize("order", [2, 5])
     def test_restricted_apply(self, order):
-        el = ElasticSem2D(_mesh((4, 3)), order=order, lam=2.3, mu=1.7, rho=1.1)
-        rng = np.random.default_rng(order)
-        u = rng.standard_normal(el.n_dof)
-        cols = rng.choice(el.n_dof, size=el.n_dof // 4, replace=False)
-        ref = el.operator("assembled").restrict(cols).apply(u)
-        for uf in FUSED_PARAMS:
-            restr = el.operator("matfree", use_fused=uf).restrict(cols)
-            assert _rel_err(restr.apply(u), ref) < 1e-12, (order, uf)
+        for fluid in (False, True):
+            el = _elastic(order, fluid)
+            rng = np.random.default_rng(order)
+            u = rng.standard_normal(el.n_dof)
+            cols = rng.choice(el.n_dof, size=el.n_dof // 4, replace=False)
+            ref = el.operator("assembled").restrict(cols).apply(u)
+            for uf in FUSED_PARAMS:
+                for threads in (None, 2):
+                    op = el.operator("matfree", use_fused=uf, threads=threads)
+                    restr = op.restrict(cols)
+                    assert _rel_err(restr.apply(u), ref) < 1e-12, (order, fluid, uf, threads)
 
     def test_rigid_motions_in_kernel(self):
-        el = ElasticSem2D(_mesh((4, 3)), order=3, lam=2.0, mu=1.0)
+        el = _elastic(3, lam=2.0, mu=1.0, rho=1.0)
         op = el.operator("matfree")
         rot = el.interpolate(lambda x, y: y, lambda x, y: -x)
         assert np.abs(op @ rot).max() < 1e-8
@@ -157,12 +174,15 @@ class TestKernelSpecDispatch:
         assert sub.params["scales"].shape == (2, 2)
 
     def test_elastic_spec(self):
-        el = ElasticSem2D(_mesh((4, 3)), order=3, lam=2.0, mu=1.0)
+        el = _elastic(3, lam=2.0, mu=1.0, rho=1.0)
         spec = el.kernel_spec()
         assert (spec.physics, spec.dim, spec.n_comp) == ("elastic", 2, 2)
-        from repro.sem.matfree import ElasticKernel, kernel_from_spec
+        from repro.sem.materials import isotropic_stiffness
+        from repro.sem.matfree import AnisotropicKernelND, kernel_from_spec
 
-        assert isinstance(kernel_from_spec(spec), ElasticKernel)
+        k = kernel_from_spec(spec)
+        assert isinstance(k, AnisotropicKernelND)
+        assert np.array_equal(k.C, isotropic_stiffness(el.lam, el.mu, 2))
 
     def test_unknown_physics_rejected(self):
         from repro.core.operator import KernelSpec
@@ -236,3 +256,68 @@ class TestFusedGating:
         sem = Sem2D(_mesh(), order=2)
         with pytest.raises(SolverError):
             sem.operator("turbo")
+
+
+class TestFusedBoundary:
+    """Nothing unchecked crosses into the C kernels: every bad input is
+    a SolverError before a pointer reaches ctypes (and the NumPy tier
+    refuses the same inputs instead of clipping them)."""
+
+    def _parts(self, physics="elastic"):
+        sem = _elastic(2) if physics == "elastic" else Sem2D(_mesh(), order=2)
+        kernel = sem.operator("matfree", use_fused=False).kernel
+        return sem, kernel, sem.element_dofs.copy()
+
+    @pytest.mark.parametrize("bad", [-1, "n_dof"])
+    def test_out_of_range_index_rejected(self, bad):
+        from repro.util.errors import SolverError
+
+        sem, kernel, ed = self._parts()
+        ed[3, 5] = sem.n_dof if bad == "n_dof" else bad
+        with pytest.raises(SolverError, match="out of range"):
+            MatrixFreeStiffness(kernel, ed, sem.n_dof, use_fused=False)
+        if fused.available():
+            with pytest.raises(SolverError, match="out of range"):
+                fused.AnisotropicPlan(kernel, ed, sem.n_dof)
+
+    def test_short_u_rejected(self):
+        from repro.util.errors import SolverError
+
+        for physics in ("acoustic", "elastic"):
+            sem, _, _ = self._parts(physics)
+            u = np.ones(sem.n_dof - 1)
+            for uf in FUSED_PARAMS:
+                op = sem.operator("matfree", use_fused=uf)
+                with pytest.raises(SolverError, match="expected"):
+                    op @ u
+                with pytest.raises(SolverError, match="expected"):
+                    op.restrict(np.arange(5)).apply(u)
+
+    @pytest.mark.skipif(not fused.available(), reason="no C compiler")
+    def test_plan_rejects_malformed_arrays(self):
+        from repro.util.errors import SolverError
+
+        sem, kernel, ed = self._parts()
+        n = sem.n_dof
+        with pytest.raises(SolverError, match="integer"):
+            fused.AnisotropicPlan(kernel, ed.astype(np.float64), n)
+        with pytest.raises(SolverError, match="integer"):
+            fused.AnisotropicPlan(kernel, ed[:, :-1], n)
+        with pytest.raises(SolverError, match="gmask"):
+            fused.AnisotropicPlan(kernel, ed, n, gmask=np.ones(ed.shape[0]))
+        with pytest.raises(SolverError, match="Minv"):
+            fused.AnisotropicPlan(kernel, ed, n, Minv=np.ones(n - 1))
+        with pytest.raises(SolverError, match="3D kernel"):
+            fused.Anisotropic3DPlan(kernel, ed, n)
+        plan = fused.AnisotropicPlan(kernel, ed, n)
+        with pytest.raises(SolverError, match="expected"):
+            plan(np.ones(n + 1))
+
+    def test_missing_library_is_solver_error(self, monkeypatch):
+        """Not an assert: the check must survive ``python -O``."""
+        from repro.util.errors import SolverError
+
+        sem, kernel, ed = self._parts()
+        monkeypatch.setattr(fused, "load", lambda: None)
+        with pytest.raises(SolverError, match="unavailable"):
+            fused.AnisotropicPlan(kernel, ed, sem.n_dof)

@@ -26,6 +26,7 @@ from repro.sem import (
     AnisotropicElasticSemND,
     ElasticSem2D,
     ElasticSem3D,
+    IsotropicElastic,
     Sem2D,
     Sem3D,
     isotropic_stiffness,
@@ -47,7 +48,7 @@ def _make_sem(physics: str, dim: int):
         return (Sem2D if dim == 2 else Sem3D)(mesh, order=order)
     if physics == "elastic":
         cls = ElasticSem2D if dim == 2 else ElasticSem3D
-        return cls(mesh, order=order, lam=2.0, mu=1.0, rho=1.3)
+        return cls(mesh, order=order, material=IsotropicElastic(lam=2.0, mu=1.0, rho=1.3))
     rng = np.random.default_rng(7)
     lam = 2.0 + rng.random(mesh.n_elements)
     mu = 1.0 + rng.random(mesh.n_elements)
