@@ -46,7 +46,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from common import save_results  # noqa: E402
+from common import cpu_info, save_results  # noqa: E402
 
 from repro.core import assign_levels  # noqa: E402
 from repro.core.lts_newmark import (  # noqa: E402
@@ -70,23 +70,6 @@ QUICK_CONFIGS = [
     ("2d_o4_12", 2, (12, 12), 4, 20),
     ("3d_o3_5", 3, (5, 5, 5), 3, 20),
 ]
-
-
-def _cpu_info() -> dict:
-    """CPU identity for result-file provenance."""
-    model = None
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.lower().startswith("model name"):
-                model = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        usable = os.cpu_count()
-    return {"cpu_model": model, "cpu_count": os.cpu_count(), "usable_cores": usable}
 
 
 def _setup(dim: int, shape: tuple, order: int):
@@ -212,7 +195,7 @@ def run(quick: bool = False, rounds: int = 3) -> dict:
         "quick": bool(quick),
         "acceptance_speedup": 1.3,
         "rows": rows,
-        **_cpu_info(),
+        **cpu_info(),
     }
     print("BENCH " + json.dumps({"name": "hotpath", "quick": quick,
                                  "speedups": {r["config"]: round(r["speedup"], 3)

@@ -111,6 +111,23 @@ def counted_cycles(solver, u0, v0, n_cycles: int, rounds: int = 1):
     return snapshots
 
 
+def cpu_info() -> dict:
+    """CPU identity for result-file provenance."""
+    model = None
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.lower().startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        usable = os.cpu_count()
+    return {"cpu_model": model, "cpu_count": os.cpu_count(), "usable_cores": usable}
+
+
 def save_results(name: str, payload) -> None:
     """Persist bench output for EXPERIMENTS.md regeneration."""
     RESULTS_DIR.mkdir(exist_ok=True)

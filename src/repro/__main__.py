@@ -260,6 +260,13 @@ def _cmd_info(args) -> int:
     fused = "yes" if info["fused_available"] else "no"
     omp = "yes" if info["fused_omp"] else "no"
     print(f"kernel tiers: numpy yes, fused C {fused}, openmp {omp}")
+    err = info["fused_error"]
+    if err is not None:
+        print(f"fused C off: {err['reason']}")
+        if err["command"]:
+            print(f"  command: {err['command']} (exit {err['returncode']})")
+        for line in err["stderr"].strip().splitlines()[-5:]:
+            print(f"  stderr: {line}")
     print(f"cores: {info['usable_cores']} usable / {info['cpu_count']} machine")
     env = info["env"]
     print(

@@ -30,6 +30,22 @@ Two implementations share one recursion:
   optimized implementation computes *the same scheme* with the minimal
   op set.
 
+Solver order.  The pooled optimized path (the default) steps below the
+top level in its own DOF order, built once: a stable sort of the DOFs by
+descending active-set nesting depth.  There every depth's active set is
+a prefix ``[0, P_i)``, every closed-form complement a range
+``[P_{i+1}, P_i)`` and the inactive set the suffix, so each active-set
+update is an in-place ufunc on a slice view, and the finer levels apply
+the restrictions of ``op.permuted(perm)``, whose kernels touch only the
+rows of their own hull.  The boundary map is one gather of ``u`` and the
+frozen level-1 force onto the depth-1 prefix per cycle, and one
+velocity write-back there; level 1 itself is applied by the caller's
+operator and the state never leaves caller order, so checkpoints,
+bitwise resume and every caller are unaffected.  An operator without
+``permuted`` (e.g. a timing proxy) runs the same core in the identity
+order with each active set widened to its prefix hull — a superset, so
+the same scheme to rounding.
+
 The solver is backend- and dimension-agnostic: ``A`` may be a scipy
 sparse matrix (the assembled path), or any
 :class:`repro.core.operator.StiffnessOperator` — in particular the
@@ -171,11 +187,11 @@ class LTSNewmarkSolver:
     pooled:
         Workspace pooling for the optimized mode's stepping loop
         (default on; ``REPRO_POOLED=0`` or ``pooled=False`` pins the
-        seed temporary-per-update path for A/B measurement).  All
-        active-set and full-vector updates then run through per-depth
-        scratch vectors allocated once here, with arithmetic bitwise
-        identical to the seed.  Reference mode is never pooled — it is
-        the deliberately literal transcription.
+        seed temporary-per-update path for A/B measurement).  The
+        pooled path runs in solver order (see module docs) through
+        per-depth scratch vectors allocated once here; it matches the
+        seed to rounding (the active rows bitwise).  Reference mode is
+        never pooled — it is the deliberately literal transcription.
     """
 
     def __init__(
@@ -220,86 +236,121 @@ class LTSNewmarkSolver:
             SolverError,
         )
 
-        # Per-level restricted products A[:, dofs(level k)] u[dofs(level k)]
-        # (column blocks for the assembled backend, element subsets for
-        # the matrix-free one).
-        self._cols: dict[int, np.ndarray] = {}
         self._restr: dict[int, object] = {}
-        for k in self.active_levels:
-            cols = np.nonzero(self.dof_level == k)[0]
-            self._cols[k] = cols
-            self._restr[k] = self.op.restrict(cols)
-
+        self.pooled = resolve_pooled(pooled) and self.mode == "optimized"
+        # Per-level column sets in caller order (the pooled path needs
+        # only level 1's).  Reference mode needs nothing else: it masks
+        # and applies the full operator.
+        self._cols: dict[int, np.ndarray] = {
+            k: np.flatnonzero(self.dof_level == k)
+            for k in self.active_levels[: 1 if self.pooled else None]
+        }
+        if self.mode == "reference":
+            return
         # Active sets per recursion depth i (levels >= active_levels[i]):
-        # rows reachable from the columns of those levels, plus the columns
-        # themselves; and per-depth complements within the parent set.
-        # op.reach() is one vectorized structural query per depth.
-        self._act: list[np.ndarray] = []
-        self._act_mask: list[np.ndarray] = []
-        for i in range(1, len(self.active_levels)):
-            lv = self.active_levels[i]
+        # rows reachable from the columns of those levels, plus the
+        # columns themselves — nested, depth 1 outermost.  op.reach() is
+        # one vectorized structural query per depth.
+        act_masks = []
+        for lv in self.active_levels[1:]:
             col_mask = self.dof_level >= lv
-            reach = self.op.reach(col_mask) | col_mask
-            self._act.append(np.nonzero(reach)[0])
-            self._act_mask.append(reach)
+            act_masks.append(self.op.reach(col_mask) | col_mask)
+        if self.pooled:
+            self._build_solver_order(act_masks)
+            return
+
+        # Seed path (pooled=False): caller-order index arrays.
+        for k in self.active_levels:
+            self._restr[k] = self.op.restrict(self._cols[k])
+        self._act = [np.flatnonzero(m) for m in act_masks]
+        self._act_mask = act_masks
         # diff[i] = act[i] \ act[i+1]: DOFs the closed-form fix handles when
         # returning from depth i+1 to depth i.
-        self._diff: list[np.ndarray] = []
-        for i in range(len(self._act) - 1):
-            self._diff.append(
-                np.nonzero(self._act_mask[i] & ~self._act_mask[i + 1])[0]
-            )
+        self._diff = [
+            np.flatnonzero(act_masks[i] & ~act_masks[i + 1])
+            for i in range(len(act_masks) - 1)
+        ]
 
-        # Pooled stepping scratch (optimized mode): everything the
-        # steady-state loop touches, allocated once.  One full-length
-        # stiffness buffer is shared across depths (its content is
-        # consumed before any deeper apply overwrites it); displacement
-        # copies, frozen-force accumulators, and active-set vectors are
-        # per recursion depth.
-        self.pooled = resolve_pooled(pooled) and self.mode == "optimized"
-        if self.pooled:
-            n_depths = len(self.active_levels)
-            self._zbuf = np.empty(n)
-            self._F1 = np.empty(n)
-            self._ub: dict[int, np.ndarray] = {}
-            self._F2: dict[int, np.ndarray] = {}
-            self._vact: dict[int, np.ndarray] = {}
-            self._r1: dict[int, np.ndarray] = {}
-            self._r2: dict[int, np.ndarray] = {}
-            self._d1: dict[int, np.ndarray] = {}
-            self._d2: dict[int, np.ndarray] = {}
-            for i in range(1, n_depths):
-                na = len(self._act[i - 1])
-                # Zero-filled, not np.empty: the depth buffers are only
-                # refreshed on their active rows per call, and a
-                # masked-subset gather may read (and zero via gmask) the
-                # inactive rows — which must hold finite values.
-                self._ub[i] = np.zeros(n)
-                self._vact[i] = np.empty(na)
-                self._r1[i] = np.empty(na)
-                self._r2[i] = np.empty(na)
-                if i < n_depths - 1:
-                    nd = len(self._diff[i - 1])
-                    self._F2[i] = np.zeros(n)
-                    self._d1[i] = np.empty(nd)
-                    self._d2[i] = np.empty(nd)
-            if n_depths > 1:
-                self._inact = np.nonzero(~self._act_mask[0])[0]
-                self._i1 = np.empty(len(self._inact))
-                self._i2 = np.empty(len(self._inact))
+    def _build_solver_order(self, act_masks: list[np.ndarray]) -> None:
+        """Solver DOF order and pooled scratch for the optimized path.
+
+        The order is a stable sort of the DOFs by descending nesting
+        depth (how many active sets hold the DOF — a small integer, so
+        NumPy's stable sort is a linear-time radix sort).  In it the
+        depth-``i`` active set is the prefix ``[0, P[i])``, the
+        closed-form complement returning from depth ``i + 1`` is the
+        range ``[P[i+1], P[i])`` and the inactive DOFs are the suffix.
+        An operator without ``permuted`` (a timing proxy, say) keeps the
+        identity order, with each active set widened to its prefix hull
+        ``[0, max + 1)``: a superset, which is exact to rounding because
+        a DOF with no finer-level coupling sees a constant force, under
+        which leap-frog reproduces the closed form.
+        """
+        n = self.n_dof
+        n_depths = len(self.active_levels)
+        self._perm = None  # identity
+        pop = self.op
+        if n_depths > 1 and hasattr(self.op, "permuted"):
+            depth = np.zeros(n, dtype=np.uint8)
+            for m in act_masks:
+                depth += m
+            self._perm = np.argsort(n_depths - 1 - depth, kind="stable")
+            self._P = [n] + [int(m.sum()) for m in act_masks]
+            pop = self.op.permuted(self._perm)
+        else:
+            self._P = [n] + [int(np.flatnonzero(m)[-1]) + 1 for m in act_masks]
+        # The operator the recursion below the top level applies (the
+        # caller's, permuted into solver order when possible).
+        self._pop = pop
+        # Level 1 is applied with the caller op; finer levels in solver
+        # order.  Each level writes its own zero-initialized buffer and
+        # is its only writer, so rows outside its hull stay exactly zero.
+        k1 = self.active_levels[0]
+        self._restr[k1] = self.op.restrict(self._cols[k1])
+        self._zl = {k1: np.zeros(n)}
+        lv_sorted = (
+            self.dof_level
+            if self._perm is None
+            else self.dof_level.take(self._perm, mode="clip")
+        )
+        for k in self.active_levels[1:]:
+            self._restr[k] = pop.restrict(np.flatnonzero(lv_sorted == k))
+            self._zl[k] = np.zeros(n)
+        self._G = np.empty(n)  # full-length streaming scratch
+        # Per recursion depth: the displacement buffer (full length: it is
+        # what the restriction reads; only its prefix is ever refreshed,
+        # zero-filled so untouched rows stay finite), the auxiliary
+        # velocity, one scratch vector and the child's frozen force.
+        self._ub: dict[int, np.ndarray] = {}
+        self._vact: dict[int, np.ndarray] = {}
+        self._r: dict[int, np.ndarray] = {}
+        self._F2: dict[int, np.ndarray] = {}
+        for i in range(1, n_depths):
+            na = self._P[i]
+            self._ub[i] = np.zeros(n)
+            self._vact[i] = np.empty(na)
+            self._r[i] = np.empty(na)
+            if i < n_depths - 1:
+                self._F2[i] = np.empty(na)
+        if n_depths > 1:  # top-level gathers onto the depth-1 prefix
+            na = self._P[1]
+            self._top = np.arange(na) if self._perm is None else self._perm[:na]
+            self._u0 = np.empty(na)
+            self._Fs = np.empty(na)
 
     def workspace_bytes(self) -> int:
-        """Bytes of pooled stepping scratch (solver, operator, and
+        """Bytes of pooled stepping scratch (solver, operators, and
         level restrictions)."""
         total = workspace_bytes(self.op)
         total += sum(int(r.workspace_bytes) for r in self._restr.values())
         if self.pooled:
-            pools = [self._zbuf, self._F1]
-            for d in (self._ub, self._F2, self._vact, self._r1, self._r2,
-                      self._d1, self._d2):
+            if self._pop is not self.op:
+                total += workspace_bytes(self._pop)
+            pools = [self._G, *self._zl.values()]
+            for d in (self._ub, self._vact, self._r, self._F2):
                 pools.extend(d.values())
             if len(self.active_levels) > 1:
-                pools.extend([self._inact, self._i1, self._i2])
+                pools.extend([self._top, self._u0, self._Fs])
             total += sum(b.nbytes for b in pools)
         return total
 
@@ -415,84 +466,95 @@ class LTSNewmarkSolver:
     # ------------------------------------------------------------------
     def _advance_pooled(self, i: int, u0: np.ndarray, F: np.ndarray,
                         n_steps: int) -> np.ndarray:
-        """Pooled optimized :meth:`_advance`: identical arithmetic (take
-        / in-place ufunc / scatter-assign decompositions of the seed's
-        fancy-indexed axpys — bitwise equal), zero per-substep
-        allocations.  Returns the depth's persistent displacement
-        buffer; the caller consumes it before the next child call
-        overwrites it."""
+        """Pooled optimized :meth:`_advance`, in solver order: the
+        depth's active set is the prefix ``[0, P[i])``, so every update
+        is an in-place ufunc on a slice view (same arithmetic as the
+        seed's fancy-indexed axpys) and nothing is allocated.  Reads
+        ``u0`` and ``F`` on that prefix only; returns the depth's
+        persistent displacement buffer, which the caller consumes
+        before the next child call overwrites it."""
         lv = self.active_levels[i]
         dt_k = self.dt / float(2 ** (lv - 1))
-        last = i == len(self.active_levels) - 1
-        act = self._act[i - 1]
-        v = self._vact[i]
-        r1, r2 = self._r1[i], self._r2[i]
-        z = self._zbuf
-        # Refresh only the active rows of this depth's displacement
-        # buffer — everything the auxiliary system below reads or
-        # writes lives in ``act`` (inactive rows are gathered only
-        # through a zero gmask, so their stale-but-finite values cannot
-        # contribute).  This keeps the per-substep cost proportional to
-        # the active set, the Sec. II-C discipline.
+        na = self._P[i]
         u = self._ub[i]
-        u0.take(act, out=r1, mode="clip")
-        u[act] = r1
+        ua = u[:na]
+        np.copyto(ua, u0[:na])
+        zfull = self._zl[lv]
+        z = zfull[:na]
+        Fa = F[:na]
+        v, r = self._vact[i], self._r[i]
 
-        if last:
+        if i == len(self.active_levels) - 1:
             for s in range(n_steps):
-                self._apply_level_into(lv, u, z)
-                F.take(act, out=r1, mode="clip")
-                z.take(act, out=r2, mode="clip")
-                r1 += r2  # rhs = F[act] + z[act]
+                self._apply_level_into(lv, u, zfull)
+                np.add(Fa, z, out=r)  # rhs
                 if s == 0:
-                    np.multiply(r1, -(0.5 * dt_k), out=v)
+                    np.multiply(r, -(0.5 * dt_k), out=v)
                 else:
-                    r1 *= dt_k
-                    v -= r1
-                np.multiply(v, dt_k, out=r2)
-                u.take(act, out=r1, mode="clip")
-                r1 += r2
-                u[act] = r1  # u[act] += dt_k * v
-                self._count_vec(4 * len(act))
+                    r *= dt_k
+                    v -= r
+                np.multiply(v, dt_k, out=r)
+                ua += r
+                self._count_vec(4 * na)
             return u
 
         ratio = 2 ** (self.active_levels[i + 1] - lv)
-        diff = self._diff[i - 1]
-        d1, d2 = self._d1[i], self._d2[i]
+        nc = self._P[i + 1]
         F2 = self._F2[i]
         for m in range(n_steps):
-            self._apply_level_into(lv, u, z)
-            # Frozen forcing for the child, on the active rows only —
-            # the only rows read below (child act sets are nested inside
-            # this depth's, ``diff`` is a subset of ``act``).  ``z`` is
-            # consumed before the child reuses the shared buffer.
-            F.take(act, out=r1, mode="clip")
-            z.take(act, out=r2, mode="clip")
-            r1 += r2
-            F2[act] = r1
+            self._apply_level_into(lv, u, zfull)
+            np.add(Fa, z, out=F2)  # the child's frozen forcing
             u_fine = self._advance_pooled(i + 1, u, F2, ratio)
-            # Closed-form complement: constant-force leap-frog is
-            # exactly quadratic over the child's whole span dt_k.
-            F2.take(diff, out=d1, mode="clip")
-            d1 *= 0.5 * dt_k * dt_k
-            u.take(diff, out=d2, mode="clip")
-            d2 -= d1
-            u_fine[diff] = d2
-            u_fine.take(act, out=r1, mode="clip")
-            u.take(act, out=r2, mode="clip")
-            r1 -= r2
-            r1 /= dt_k  # recon = (u_fine[act] - u[act]) / dt_k
+            # Closed-form complement [nc, na): constant-force leap-frog
+            # is exactly quadratic over the child's whole span dt_k.
+            uc = u_fine[nc:na]
+            np.multiply(F2[nc:na], 0.5 * dt_k * dt_k, out=uc)
+            np.subtract(u[nc:na], uc, out=uc)
+            np.subtract(u_fine[:na], ua, out=r)
+            r /= dt_k  # recon = (u_fine - u) / dt_k
             if m == 0:
-                v[:] = r1
+                v[:] = r
             else:
-                r1 *= 2.0
-                v += r1
-            np.multiply(v, dt_k, out=r1)
-            u.take(act, out=r2, mode="clip")
-            r2 += r1
-            u[act] = r2  # u[act] += dt_k * v
-            self._count_vec(6 * len(act) + 2 * len(diff))
+                r *= 2.0
+                v += r
+            np.multiply(v, dt_k, out=r)
+            ua += r
+            self._count_vec(6 * na + 2 * (na - nc))
         return u
+
+    def _step_pooled(self, u: np.ndarray, v: np.ndarray) -> None:
+        """One pooled cycle.  The state stays in caller order: ``u`` and
+        the frozen level-1 force are gathered on the depth-1 prefix of
+        the solver order, the recursion runs there, and the velocity
+        increment goes back on that prefix; the inactive closed form
+        ``v -= dt F1`` rides along in the full-length passes."""
+        dt = self.dt
+        G = self._G
+        F1 = self._zl[self.active_levels[0]]
+        self._apply_level_into(self.active_levels[0], u, F1)
+        F = F1
+        if self.force is not None:
+            F = G
+            np.subtract(F1, self.force(self.t), out=F)
+        n_sub = 2 ** (self.active_levels[1] - 1)
+        top, u0, Fs = self._top, self._u0, self._Fs  # ``top``: distinct, in range
+        u.take(top, out=u0, mode="clip")
+        F.take(top, out=Fs, mode="clip")
+        u_t = self._advance_pooled(1, u0, Fs, n_sub)
+        # Active rows: v += (2/dt) (u_t - u); depth 1's scratch is free now.
+        r, va = self._r[1], self._vact[1]
+        np.subtract(u_t[: len(top)], u0, out=r)
+        r *= 2.0 / dt
+        v.take(top, out=va, mode="clip")
+        va += r
+        # Everywhere, then overwritten on the active rows: the inactive
+        # closed form u_t - u = -dt^2/2 F1, i.e. v -= dt F1.
+        np.multiply(F, dt, out=G)
+        v -= G
+        v[top] = va
+        np.multiply(v, dt, out=G)
+        u += G
+        self._count_vec(6 * self.n_dof)
 
     # ------------------------------------------------------------------
     def step(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,15 +565,15 @@ class LTSNewmarkSolver:
         if len(self.active_levels) == 1:
             # Degenerate single-level mesh: LTS *is* explicit Newmark.
             if self.pooled:
-                z = self._zbuf
+                z, G = self._zl[self.active_levels[0]], self._G
                 self._apply_level_into(self.active_levels[0], u, z)
-                np.negative(z, out=z)
+                np.negative(z, out=G)
                 if self.force is not None:
-                    z += self.force(self.t)
-                z *= self.dt
-                v += z
-                np.multiply(v, self.dt, out=z)
-                u += z
+                    G += self.force(self.t)
+                G *= self.dt
+                v += G
+                np.multiply(v, self.dt, out=G)
+                u += G
             else:
                 accel = -(self._apply_level(self.active_levels[0], u))
                 if self.force is not None:
@@ -520,25 +582,7 @@ class LTSNewmarkSolver:
                 u += self.dt * v
             self._count_vec(4 * n)
         elif self.pooled:
-            F1 = self._F1
-            self._apply_level_into(self.active_levels[0], u, F1)
-            if self.force is not None:
-                np.subtract(F1, self.force(self.t), out=F1)
-            n_sub = 2 ** (self.active_levels[1] - 1)
-            u_t = self._advance_pooled(1, u, F1, n_sub)
-            inact = self._inact
-            F1.take(inact, out=self._i1, mode="clip")
-            self._i1 *= 0.5 * self.dt * self.dt
-            u.take(inact, out=self._i2, mode="clip")
-            self._i2 -= self._i1
-            u_t[inact] = self._i2
-            z = self._zbuf
-            np.subtract(u_t, u, out=z)
-            z *= 2.0 / self.dt
-            v += z  # v += (2/dt) (u_t - u)
-            np.multiply(v, self.dt, out=z)
-            u += z
-            self._count_vec(6 * n)
+            self._step_pooled(u, v)
         else:
             F1 = self._apply_level(self.active_levels[0], u)
             if self.force is not None:

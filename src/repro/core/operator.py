@@ -13,7 +13,16 @@ is backend-agnostic:
   call sites keep working, and adds the two capabilities LTS needs:
   :meth:`~AssembledOperator.restrict` (the level-restricted product
   ``A[:, cols] u[cols]``) and :meth:`~AssembledOperator.reach` (the row
-  support of a column set — the "gray halo" of Fig. 2).
+  support of a column set — the "gray halo" of Fig. 2).  Backends may
+  also offer :meth:`~AssembledOperator.permuted` (the same operator in
+  another DOF order, ``P A P^T``), which lets the LTS solver lay its
+  active sets out as contiguous prefixes.
+* the row contract of :meth:`Restriction.apply`: with ``out=`` a
+  restriction writes only the rows in :attr:`Restriction.rows` (the
+  hull of the rows it can reach) and leaves every other row of ``out``
+  untouched, so its zeroing and ``M^{-1}`` scaling cost O(rows), not
+  O(n).  A caller that gives each restriction its own zero-initialized
+  buffer therefore always reads exact zeros outside that hull.
 * :class:`AssembledOperator` — wraps a precomputed sparse ``A``; the
   seed's CSR path, unchanged semantics.
 * the matrix-free backend lives in :mod:`repro.sem.matfree` (it needs
@@ -33,7 +42,7 @@ ratios (Eq. (9) serial efficiency) stay meaningful per backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -103,19 +112,28 @@ class Restriction:
     Produced by :meth:`StiffnessOperator.restrict`; ``ops`` is the cost
     of one :meth:`apply` in the backend's operation unit (see module
     docs), which :class:`~repro.core.lts_newmark.OperationCounter`
-    accumulates per level.
+    accumulates per level.  ``rows`` is a ``slice`` covering every row
+    the product can be nonzero on (default: all rows).
     """
 
     cols: np.ndarray
     ops: int
     _apply: Callable[..., np.ndarray]
     workspace_bytes: int = 0
+    rows: slice = field(default_factory=lambda: slice(None))
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Full-length ``A[:, cols] @ u[cols]`` (reads only ``u[cols]``).
+        """``A[:, cols] @ u[cols]`` (reads only ``u[cols]``).
 
-        With ``out=`` the result is written into the caller's buffer and
-        no new vector is allocated (the workspace contract)."""
+        With ``out=None`` the result is a new zero-filled full-length
+        vector.  With ``out=`` nothing is allocated and no row outside
+        :attr:`rows` is written: the backends overwrite exactly the rows
+        in :attr:`rows` (zero where the product has no entry) and leave
+        the rest of ``out`` as it was.  A wrapper that forwards to an
+        inner restriction without passing ``rows`` on reports all rows
+        while writing only the inner ones — so a caller that keeps one
+        zero-initialized buffer per restriction reads exact zeros
+        outside what was written either way."""
         return self._apply(u, out=out)
 
 
@@ -142,7 +160,10 @@ class StiffnessOperator(Protocol):
         buffer and the apply stays allocation-free."""
         ...
 
-    def restrict(self, cols: np.ndarray) -> Restriction: ...
+    def restrict(self, cols: np.ndarray) -> Restriction:
+        """The level restriction on ``cols`` (see :class:`Restriction`
+        for the row contract of its ``apply``)."""
+        ...
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
         """Boolean row mask of DOFs structurally touched by ``cols``."""
@@ -185,8 +206,8 @@ class AssembledOperator:
         return csr_matvec_into(self.A, u, out)
 
     def workspace_bytes(self) -> int:
-        """Pooled scratch held by the operator itself (restriction
-        gather buffers are owned by their :class:`Restriction`)."""
+        """Pooled scratch held by the operator itself (none: products
+        and restrictions write straight into the caller's buffers)."""
         return 0
 
     def apply_on(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -194,19 +215,45 @@ class AssembledOperator:
         return self.restrict(cols).apply(u)
 
     def restrict(self, cols: np.ndarray) -> Restriction:
+        """Row-limited column block: the CSR of ``A[lo:hi, clo:chi]``
+        keeping only the entries of ``cols``, applied to the views
+        ``u[clo:chi]`` and ``out[lo:hi]`` — no gather, no full-length
+        pass (``[lo, hi)`` / ``[clo, chi)`` are the row / column hulls
+        of the block)."""
+        n = self.shape[0]
         cols = np.asarray(cols, dtype=np.int64)
-        A_cols = self._A_csc[:, cols].tocsr()
-        ucols = np.empty(len(cols))
+        blk = self._A_csc[:, cols].tocoo()
+        lo, hi = (int(blk.row.min()), int(blk.row.max()) + 1) if blk.nnz else (0, 0)
+        clo, chi = (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
+        # Columns re-indexed onto the hull (those outside ``cols`` stay
+        # empty); sorted indices make each row sum in ascending column
+        # order, as ``A[:, cols] @ u[cols]`` does for sorted ``cols``.
+        blk = sp.csr_matrix(
+            (blk.data, (blk.row - lo, cols[blk.col] - clo)), shape=(hi - lo, chi - clo)
+        )
+        blk.sort_indices()
+        rows = slice(lo, hi)
 
         def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            # scipy's matvec kernel reads and writes without bounds checks
+            if u.shape != (n,):
+                raise SolverError(f"u has shape {u.shape}, expected ({n},)")
+            if out is not None and out.shape != (n,):
+                raise SolverError(f"out has shape {out.shape}, expected ({n},)")
             if out is None:
-                return A_cols @ u[cols]
-            u.take(cols, out=ucols, mode="clip")
-            return csr_matvec_into(A_cols, ucols, out)
+                out = np.zeros(n)
+            csr_matvec_into(blk, u[clo:chi], out[rows])
+            return out
 
-        return Restriction(
-            cols=cols, ops=A_cols.nnz, _apply=_apply, workspace_bytes=ucols.nbytes
-        )
+        return Restriction(cols=cols, ops=blk.nnz, _apply=_apply, rows=rows)
+
+    def permuted(self, perm: np.ndarray) -> "AssembledOperator":
+        """The operator in DOF order ``perm``: ``P A P^T`` with
+        ``(P A P^T) u[perm] == (A u)[perm]``."""
+        perm, _ = inverse_permutation(perm, self.shape[0])
+        B = self.A[perm][:, perm].tocsr()
+        B.sort_indices()
+        return AssembledOperator(B)
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
         """Rows with a stored entry in any masked column.
@@ -218,6 +265,26 @@ class AssembledOperator:
         out = np.zeros(self.shape[0], dtype=bool)
         out[np.unique(self._A_csc[:, cols].indices)] = True
         return out
+
+
+def inverse_permutation(perm: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, inv)`` as int64 with ``inv[perm] == arange(n)``, after
+    checking that ``perm`` is a permutation of ``range(n)``."""
+    perm = np.asarray(perm)
+    require(
+        perm.shape == (n,) and np.issubdtype(perm.dtype, np.integer),
+        f"perm must be an integer array of shape ({n},)",
+        SolverError,
+    )
+    perm = perm.astype(np.int64, copy=False)
+    inv = np.full(n, n, dtype=np.int64)
+    if n:
+        # As unsigned, a negative index is larger than any n.
+        require(perm.view(np.uint64).max() < n, "perm index out of range", SolverError)
+        inv[perm] = np.arange(n)
+        # A repeated index leaves some slot of inv at the sentinel n.
+        require(int(inv.max()) < n, "perm is not a permutation", SolverError)
+    return perm, inv
 
 
 def as_operator(A) -> StiffnessOperator:

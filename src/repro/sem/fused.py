@@ -15,7 +15,9 @@ Kernels: 2D acoustic (``ac_apply``), 3D hexahedral acoustic
 The kernels are strictly optional.  If no C compiler is available, the
 compile fails, ``REPRO_FUSED=0`` is set, or the polynomial order exceeds
 ``MAX_ORDER``, callers fall back to the NumPy path transparently — same
-results (up to last-bit summation order), just slower.  The compiled
+results (up to last-bit summation order), just slower — and
+:func:`load_error` keeps why (for a failed compile: the command, its
+exit code and the tail of its stderr).  The compiled
 shared object is cached in a user-private directory keyed by a source
 hash, so the one-time ~0.5 s compile is paid once per machine, not per
 process.
@@ -471,10 +473,15 @@ _BASE_CFLAGS = ("-O3", "-funroll-loops", "-shared", "-fPIC")
 _ARCH_FLAGS = ("-march=native", "-mcpu=native")
 _OMP_FLAG = "-fopenmp"
 
-_KERNELS = ("ac_apply", "ac_apply3", "an_apply", "an_apply3")
+#: Exported kernels and how many coefficient pointers each takes between
+#: ``n1`` and ``ed`` (see the C signatures above).
+_KERNELS = {"ac_apply": 4, "ac_apply3": 5, "an_apply": 4, "an_apply3": 4}
 
 _lib: ctypes.CDLL | None = None
 _tried = False
+_error: dict | None = None
+#: Characters of compiler stderr kept by :func:`load_error`.
+STDERR_TAIL = 2000
 _load_lock = threading.Lock()
 _flag_cache: dict[str, tuple[str, ...]] = {}
 
@@ -555,11 +562,24 @@ def _cache_dir() -> str:
     return path
 
 
+def _fail(reason: str, command=None, returncode=None, stderr: str = "") -> None:
+    """Record why the fused tier is off (see :func:`load_error`)."""
+    global _error
+    _error = {
+        "reason": reason,
+        "command": None if command is None else " ".join(map(str, command)),
+        "returncode": returncode,
+        "stderr": stderr[-STDERR_TAIL:],
+    }
+
+
 def _build(cc: str, flags: tuple[str, ...]) -> ctypes.CDLL | None:
-    """Compile (cached) and load the kernels with ``flags``, or ``None``."""
+    """Compile (cached) and load the kernels with ``flags``, or ``None``
+    (the failure is recorded for :func:`load_error`)."""
     tag = hashlib.sha256(
         (_SOURCE + cc + " ".join(flags) + _machine_tag()).encode()
     ).hexdigest()[:16]
+    cmd = None
     try:
         so_path = os.path.join(_cache_dir(), f"fused_{tag}.so")
         if not os.path.exists(so_path):
@@ -568,19 +588,25 @@ def _build(cc: str, flags: tuple[str, ...]) -> ctypes.CDLL | None:
                 out = os.path.join(td, "fused.so")
                 with open(src, "w") as f:
                     f.write(_SOURCE)
-                subprocess.run(
-                    [cc, *flags, "-o", out, src],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
+                cmd = [cc, *flags, "-o", out, src]
+                subprocess.run(cmd, check=True, capture_output=True, timeout=120)
                 os.replace(out, so_path)  # atomic vs concurrent builders
         lib = ctypes.CDLL(so_path)
-        for name in _KERNELS:
-            getattr(lib, name).restype = None
+        for name, n_coef in _KERNELS.items():
+            fn = getattr(lib, name)
+            fn.restype = None
+            fn.argtypes = (
+                [ctypes.c_long, ctypes.c_long, ctypes.c_int]
+                + [ctypes.c_void_p] * (n_coef + 5)  # coefs, ed, u, gmask, Minv, z
+                + [ctypes.c_int, ctypes.c_void_p]  # n_threads, zt
+            )
         return lib
-    except Exception:
-        return None
+    except subprocess.CalledProcessError as e:
+        stderr = (e.stderr or b"").decode(errors="replace")
+        _fail("compile failed", cmd, e.returncode, stderr)
+    except Exception as e:  # timeout, unwritable cache, unloadable object
+        _fail(f"{type(e).__name__}: {e}", cmd)
+    return None
 
 
 def load() -> ctypes.CDLL | None:
@@ -588,8 +614,9 @@ def load() -> ctypes.CDLL | None:
 
     Returns ``None`` when disabled via ``REPRO_FUSED=0``, no compiler is
     found, or compilation/loading fails for any reason — callers then
-    stay on the NumPy path.  The build is cached in a user-private
-    directory keyed by source, compiler, accepted flag set *and* CPU
+    stay on the NumPy path, and :func:`load_error` says why.  The build
+    is cached in a user-private directory keyed by source, compiler,
+    accepted flag set *and* CPU
     identity (``-march=native`` objects must not survive a move to a
     different machine).  If the probed optional flags still break the
     real build, a second attempt with the base flags alone keeps the
@@ -600,20 +627,25 @@ def load() -> ctypes.CDLL | None:
     the half-initialized state and silently drop to the NumPy tier —
     mixing tiers within one ensemble would split results by one ULP.
     """
-    global _lib, _tried
+    global _lib, _tried, _error
     if _tried:
         return _lib
     with _load_lock:
         if _tried:
             return _lib
         lib = None
-        if os.environ.get("REPRO_FUSED", "1") != "0":
-            cc = _compiler()
-            if cc is not None:
-                flags = accepted_cflags(cc)
-                lib = _build(cc, flags)
-                if lib is None and flags != _BASE_CFLAGS:
-                    lib = _build(cc, _BASE_CFLAGS)
+        _error = None
+        if os.environ.get("REPRO_FUSED", "1") == "0":
+            _fail("disabled by REPRO_FUSED=0")
+        elif (cc := _compiler()) is None:
+            _fail("no C compiler found (tried $CC, cc, gcc, clang)")
+        else:
+            flags = accepted_cflags(cc)
+            lib = _build(cc, flags)
+            if lib is None and flags != _BASE_CFLAGS:
+                lib = _build(cc, _BASE_CFLAGS)
+            if lib is not None:
+                _error = None  # a base-flag retry recovered
         # _lib must be visible before the lock-free fast path can see
         # _tried (assignment order + the GIL guarantee that).
         _lib = lib
@@ -623,6 +655,17 @@ def load() -> ctypes.CDLL | None:
 
 def available() -> bool:
     return load() is not None
+
+
+def load_error() -> dict | None:
+    """Why the fused tier is off, or ``None`` when it loaded.
+
+    A dict with ``reason``, and for a failed build the compiler
+    ``command``, its ``returncode`` and the last :data:`STDERR_TAIL`
+    characters of its ``stderr`` — the last failure :func:`load`
+    saw."""
+    load()
+    return None if _error is None else dict(_error)
 
 
 def omp_enabled() -> bool:
@@ -636,12 +679,10 @@ def omp_enabled() -> bool:
         return False
 
 
-_PD = ctypes.POINTER(ctypes.c_double)
-_PI = ctypes.POINTER(ctypes.c_int64)
-
-
 def _pd(a: np.ndarray | None):
-    return None if a is None else a.ctypes.data_as(_PD)
+    """Address of ``a``'s data for a ``c_void_p`` argument (``None`` is
+    NULL); the plan keeps ``a`` alive for as long as it passes it."""
+    return None if a is None else a.ctypes.data
 
 
 def _pad(a: np.ndarray, ne_pad: int, fill=0.0) -> np.ndarray:
@@ -734,6 +775,11 @@ class _FusedPlan:
         else:
             self.threads = 1
             self._zt = None
+        # Every argument but u and z is fixed for the plan's lifetime
+        # (the plan owns the arrays): convert once, not per call.
+        self._head = (self._ne, self.n_dof, self.n1, *self._coef_args(), _pd(self._ed))
+        self._masks = (_pd(self._gmask), _pd(self._Minv))
+        self._tail = (self.threads, _pd(self._zt))
 
     def _bind(self, kernel, ne_pad: int) -> None:
         raise NotImplementedError
@@ -757,15 +803,8 @@ class _FusedPlan:
             z = out
         else:
             z = np.empty(self.n_dof)
-        self._fn(
-            ctypes.c_long(self._ne),
-            ctypes.c_long(self.n_dof),
-            ctypes.c_int(self.n1),
-            *self._coef_args(),
-            self._ed.ctypes.data_as(_PI), _pd(u),
-            _pd(self._gmask), _pd(self._Minv), _pd(z),
-            ctypes.c_int(self.threads), _pd(self._zt),
-        )
+        # Only the two checked per-call pointers are formed here.
+        self._fn(*self._head, u.ctypes.data, *self._masks, z.ctypes.data, *self._tail)
         if out is not None and z is not out:
             out[:] = z
             return out

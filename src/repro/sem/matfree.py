@@ -54,10 +54,11 @@ from __future__ import annotations
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.operator import KernelSpec, Restriction
+from repro.core.operator import KernelSpec, Restriction, inverse_permutation
 from repro.core.workspace import Workspace, resolve_pooled
 from repro.sem import fused
 from repro.sem.gll import gll_points_weights, lagrange_derivative_matrix
@@ -864,7 +865,19 @@ class MatrixFreeOperator:
     the elements adjacent to ``cols`` (active level + gray halo) are
     gathered and contracted, with the gathered values masked to ``cols``
     so the result equals ``A[:, cols] @ u[cols]`` of the assembled
-    backend to machine precision.
+    backend to machine precision.  The restriction's kernel runs over
+    the hull ``[lo, hi)`` of its element DOFs (shifted ``element_dofs``,
+    ``n_dof = hi - lo``, ``M^{-1}[lo:hi]``) on the views ``u[lo:hi]`` /
+    ``out[lo:hi]``, so zeroing and ``M^{-1}`` scaling cost O(hull), and
+    rows outside the hull are never written (the
+    :class:`~repro.core.operator.Restriction` row contract).
+
+    ``permuted(perm)`` is the same operator in another DOF order
+    (``element_dofs``, ``M`` and the Dirichlet mask remapped, element
+    order kept — so every DOF sums its element contributions in the same
+    order and results are bitwise those of the original, permuted).  Its
+    full apply is built on first use only: the LTS solver that asks for
+    it applies nothing but its restrictions.
     """
 
     def __init__(
@@ -877,6 +890,11 @@ class MatrixFreeOperator:
         threads: int | None = None,
         pooled: bool | None = None,
     ):
+        self._setup(kernel, element_dofs, M, dirichlet_mask, use_fused, threads, pooled)
+        self._stiffness  # the full apply is the common case: build it now
+
+    def _setup(self, kernel, element_dofs, M, dirichlet_mask, use_fused, threads,
+               pooled) -> None:
         self.kernel = kernel
         self.element_dofs = np.ascontiguousarray(element_dofs, dtype=np.int64)
         self.M = np.asarray(M, dtype=np.float64)
@@ -886,26 +904,30 @@ class MatrixFreeOperator:
             None if dirichlet_mask is None else np.asarray(dirichlet_mask, dtype=np.float64)
         )
         self._use_fused = use_fused
-        # The full pipeline (input mask, contraction, scatter, M^{-1})
-        # lives in one MatrixFreeStiffness; restrictions are its masked
-        # subsets, so the level-restriction logic exists exactly once.
-        self._stiffness = MatrixFreeStiffness(
-            kernel,
+        self._threads = threads
+        self._pooled = pooled
+        # Live restriction subsets, for workspace accounting only (weak:
+        # a discarded solver's restrictions drop out of the count).
+        self._restrictions = weakref.WeakSet()
+
+    @cached_property
+    def _stiffness(self) -> MatrixFreeStiffness:
+        """The full pipeline (input mask, contraction, scatter,
+        ``M^{-1}``) in one :class:`MatrixFreeStiffness`."""
+        return MatrixFreeStiffness(
+            self.kernel,
             self.element_dofs,
             self.n_dof,
-            use_fused=use_fused,
+            use_fused=self._use_fused,
             gmask=(
                 None
                 if self.dirichlet_mask is None
                 else self.dirichlet_mask[self.element_dofs]
             ),
             Minv=self._Minv,
-            threads=threads,
-            pooled=pooled,
+            threads=self._threads,
+            pooled=self._pooled,
         )
-        # Live restriction subsets, for workspace accounting only (weak:
-        # a discarded solver's restrictions drop out of the count).
-        self._restrictions = weakref.WeakSet()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -920,7 +942,7 @@ class MatrixFreeOperator:
     @property
     def nnz(self) -> int:
         """Tensor-contraction flops of one full apply (see module docs)."""
-        return self._stiffness.nnz
+        return self.element_dofs.shape[0] * self.kernel.flops_per_element
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         z = self._stiffness.apply(u, out=out)  # input mask and M^{-1} folded in
@@ -931,7 +953,8 @@ class MatrixFreeOperator:
     def workspace_bytes(self) -> int:
         """Bytes of pooled hot-path scratch currently held, including
         the live level restrictions built from this operator."""
-        total = self._stiffness.workspace_bytes()
+        full = self.__dict__.get("_stiffness")  # not built by permuted()
+        total = 0 if full is None else full.workspace_bytes()
         for sub in self._restrictions:
             total += sub.workspace_bytes()
         return total
@@ -944,20 +967,63 @@ class MatrixFreeOperator:
         return self.restrict(cols).apply(u)
 
     def restrict(self, cols: np.ndarray) -> Restriction:
+        n = self.n_dof
         cols = np.asarray(cols, dtype=np.int64)
-        col_mask = np.zeros(self.n_dof, dtype=bool)
+        col_mask = np.zeros(n, dtype=bool)
         col_mask[cols] = True
-        sub = self._stiffness.masked_subset(col_mask)
-        self._restrictions.add(sub)
+        # element_dofs were range-checked when the operator was built
+        ids = np.flatnonzero(col_mask.take(self.element_dofs, mode="clip").any(axis=1))
+        ed = self.element_dofs.take(ids, axis=0)
+        lo, hi = (int(ed.min()), int(ed.max()) + 1) if ed.size else (0, 0)
+        gm = col_mask.take(ed, mode="clip").astype(np.float64)
         dmask = self.dirichlet_mask
+        if dmask is not None:
+            gm *= dmask[ed]
+            dmask = dmask[lo:hi]
+        ed -= lo  # a fresh copy: shift in place onto the hull
+        sub = MatrixFreeStiffness(
+            self.kernel.subset(ids),
+            ed,
+            hi - lo,
+            use_fused=self._use_fused,
+            gmask=gm,
+            Minv=self._Minv[lo:hi],
+            threads=self._threads,
+            pooled=self._pooled,
+        )
+        self._restrictions.add(sub)
+        rows = slice(lo, hi)
 
         def _apply(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            z = sub.apply(u, out=out)
+            if u.shape != (n,):
+                raise SolverError(f"u has shape {u.shape}, expected ({n},)")
+            if out is not None and out.shape != (n,):
+                raise SolverError(f"out has shape {out.shape}, expected ({n},)")
+            if out is None:
+                out = np.zeros(n)
+            z = sub.apply(u[rows], out=out[rows])
             if dmask is not None:
                 z *= dmask
-            return z
+            return out
 
-        return Restriction(cols=cols, ops=sub.nnz, _apply=_apply)
+        return Restriction(cols=cols, ops=sub.nnz, _apply=_apply, rows=rows)
+
+    def permuted(self, perm: np.ndarray) -> "MatrixFreeOperator":
+        """The operator in DOF order ``perm`` (``P A P^T``, with
+        ``(P A P^T) u[perm] == (A u)[perm]``); see the class docs."""
+        perm, inv = inverse_permutation(perm, self.n_dof)
+        dmask = self.dirichlet_mask
+        op = MatrixFreeOperator.__new__(MatrixFreeOperator)  # full apply: lazy
+        op._setup(
+            self.kernel,
+            inv.take(self.element_dofs, mode="clip"),  # range-checked at build
+            self.M.take(perm),
+            None if dmask is None else dmask.take(perm),
+            self._use_fused,
+            self._threads,
+            self._pooled,
+        )
+        return op
 
     def reach(self, col_mask: np.ndarray) -> np.ndarray:
         """All DOFs of elements adjacent to the masked columns.
@@ -968,9 +1034,10 @@ class MatrixFreeOperator:
         yields the identical scheme.
         """
         col_mask = np.asarray(col_mask, dtype=bool)
-        touch = col_mask[self.element_dofs].any(axis=1)
+        require(col_mask.shape == (self.n_dof,), "col_mask must be (n_dof,)", SolverError)
+        touch = col_mask.take(self.element_dofs, mode="clip").any(axis=1)
         out = np.zeros(self.n_dof, dtype=bool)
-        out[self.element_dofs[touch].ravel()] = True
+        out[self.element_dofs[touch]] = True
         return out
 
 

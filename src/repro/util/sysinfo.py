@@ -49,7 +49,9 @@ def runtime_info() -> dict:
 
     Keys: package/python/numpy/scipy versions, ``fused_available`` /
     ``fused_omp`` (whether the C kernels compiled and whether they
-    honor ``n_threads > 1``), ``usable_cores`` vs ``cpu_count``, and
+    honor ``n_threads > 1``), ``fused_error`` (why they did not — see
+    :func:`repro.sem.fused.load_error` — or ``None``),
+    ``usable_cores`` vs ``cpu_count``, and
     the set ``REPRO_*`` env overrides.  Calling this triggers the
     (cached) one-time fused-kernel compile probe — that is the point:
     the answer reflects what a run would actually get."""
@@ -65,6 +67,7 @@ def runtime_info() -> dict:
         "scipy": scipy.__version__,
         "fused_available": bool(fused.available()),
         "fused_omp": bool(fused.omp_enabled()),
+        "fused_error": fused.load_error(),
         "usable_cores": usable_cores(),
         "cpu_count": os.cpu_count(),
         "env": {k: os.environ[k] for k in ENV_KNOBS if k in os.environ},

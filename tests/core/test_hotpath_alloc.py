@@ -27,6 +27,8 @@ from repro.core.workspace import measure_hot_path
 from repro.mesh import uniform_grid
 from repro.sem import Sem2D
 
+from test_solver_order import NoPermute
+
 #: Net tracemalloc blocks allowed to survive a steady-state step.
 ALLOC_BUDGET = 8
 
@@ -75,17 +77,21 @@ def test_lts_step_allocation_budget(sys2d, backend):
         if backend == "assembled"
         else sem.operator("matfree", use_fused=False, pooled=True)
     )
-    solver = LTSNewmarkSolver(op, dof_level, a.dt, pooled=True)
-    assert len(solver.active_levels) >= 2  # multi-level recursion exercised
-    stats = _measure(solver, u0, v0)
-    assert stats.allocs_per_step <= ALLOC_BUDGET, (backend, stats)
-    assert stats.alloc_peak_bytes_per_step < u0.nbytes, (backend, stats)
-    assert solver.workspace_bytes() > 0
+    # Solver order, and the identity order of an operator without
+    # ``permuted`` (a timing proxy).
+    for A in (op, NoPermute(op)):
+        solver = LTSNewmarkSolver(A, dof_level, a.dt, pooled=True)
+        assert len(solver.active_levels) >= 2  # multi-level recursion exercised
+        stats = _measure(solver, u0, v0)
+        assert stats.allocs_per_step <= ALLOC_BUDGET, (backend, A, stats)
+        assert stats.alloc_peak_bytes_per_step < u0.nbytes, (backend, A, stats)
+        assert solver.workspace_bytes() > 0
 
 
 def test_pooling_preserves_results(sys2d):
-    """The pooled LTS trajectory stays within 1e-12 of the seed tier
-    (the scatter plan's folded M^{-1} commutes only to rounding)."""
+    """The pooled LTS trajectory — in solver order and in the identity
+    order — stays within 1e-12 of the seed tier (the scatter plan's
+    folded M^{-1} commutes only to rounding)."""
     sem, a, dof_level, u0, v0 = sys2d
     pooled = LTSNewmarkSolver(
         sem.operator("matfree", use_fused=False, pooled=True),
@@ -95,9 +101,16 @@ def test_pooling_preserves_results(sys2d):
         sem.operator("matfree", use_fused=False, pooled=False),
         dof_level, a.dt, pooled=False,
     )
+    identity = LTSNewmarkSolver(
+        NoPermute(sem.operator("matfree", use_fused=False, pooled=True)),
+        dof_level, a.dt, pooled=True,
+    )
     up, vp = u0.copy(), v0.copy()
     us, vs = u0.copy(), v0.copy()
+    ui, vi = u0.copy(), v0.copy()
     for _ in range(5):
         up, vp = pooled.step(up, vp)
         us, vs = seed.step(us, vs)
+        ui, vi = identity.step(ui, vi)
     assert np.abs(up - us).max() / np.abs(us).max() < 1e-12
+    assert np.abs(ui - us).max() / np.abs(us).max() < 1e-12

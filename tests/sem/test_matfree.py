@@ -321,3 +321,49 @@ class TestFusedBoundary:
         monkeypatch.setattr(fused, "load", lambda: None)
         with pytest.raises(SolverError, match="unavailable"):
             fused.AnisotropicPlan(kernel, ed, sem.n_dof)
+
+
+class TestLoadError:
+    """``fused.load_error()`` says why the fused tier is off."""
+
+    def _fresh(self, monkeypatch, tmp_path):
+        # Restored by monkeypatch afterwards: the module's cached load.
+        monkeypatch.setattr(fused, "_lib", None)
+        monkeypatch.setattr(fused, "_tried", False)
+        monkeypatch.setattr(fused, "_error", None)
+        monkeypatch.setattr(fused, "_flag_cache", {})
+        monkeypatch.setattr(fused, "_cache_dir", lambda: str(tmp_path))
+
+    def test_failing_compiler_is_reported(self, monkeypatch, tmp_path):
+        import stat
+
+        from repro.util.sysinfo import runtime_info
+
+        cc = tmp_path / "broken-cc"
+        cc.write_text("#!/bin/sh\necho 'fatal: simulated compiler failure' >&2\nexit 3\n")
+        cc.chmod(cc.stat().st_mode | stat.S_IEXEC)
+        self._fresh(monkeypatch, tmp_path)
+        monkeypatch.delenv("REPRO_FUSED", raising=False)
+        monkeypatch.setattr(fused, "_compiler", lambda: str(cc))
+        assert fused.load() is None
+        err = fused.load_error()
+        assert err["reason"] == "compile failed"
+        assert err["returncode"] == 3
+        assert err["command"].startswith(str(cc))
+        assert "simulated compiler failure" in err["stderr"]
+        assert runtime_info()["fused_error"] == err
+
+    def test_disabled_and_missing_compiler(self, monkeypatch, tmp_path):
+        self._fresh(monkeypatch, tmp_path)
+        monkeypatch.setenv("REPRO_FUSED", "0")
+        assert fused.load_error()["reason"] == "disabled by REPRO_FUSED=0"
+        self._fresh(monkeypatch, tmp_path)
+        monkeypatch.delenv("REPRO_FUSED")
+        monkeypatch.setattr(fused, "_compiler", lambda: None)
+        assert "no C compiler" in fused.load_error()["reason"]
+
+    def test_loaded_reports_none(self):
+        if fused.available():
+            assert fused.load_error() is None
+        else:
+            assert fused.load_error()["reason"]

@@ -54,6 +54,20 @@ class TestInfo:
                     "usable_cores", "env"):
             assert key in info
 
+    def test_info_says_why_fused_is_off(self):
+        env = {**_env(), "REPRO_FUSED": "0"}
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "info", *args],
+                capture_output=True, text=True, timeout=120, env=env, check=True,
+            ).stdout
+
+        assert "fused C off: disabled by REPRO_FUSED=0" in run()
+        info = json.loads(run("--json"))
+        assert info["fused_available"] is False
+        assert info["fused_error"]["reason"] == "disabled by REPRO_FUSED=0"
+
 
 class _Server:
     """``python -m repro serve`` as a child process, URL parsed from
